@@ -27,8 +27,6 @@
 
 pub mod report;
 
-use std::collections::BTreeMap;
-
 use hcc_runtime::{LeakAudit, SimConfig};
 use hcc_trace::Series;
 use hcc_types::calib::TdxCalib;
@@ -41,6 +39,7 @@ use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 use crate::engine::ExperimentEngine;
 use crate::serving::report as serving_report;
 use crate::serving::{arrival, cluster, ArrivalKind, SchedulerKind};
+use crate::serving::{shape_attr, shape_decomp, AppTable};
 
 pub use report::{
     ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict, TimeToRecover,
@@ -299,24 +298,9 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
 
     // Distinct shape working set: one app per (tenant, class), stable
     // order.
-    let mut app_index: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for tenant in &cfg.tenants {
-        for class in &tenant.mix {
-            let next = app_index.len();
-            app_index.entry(class.app).or_insert(next);
-        }
-    }
-    let apps: Vec<&'static str> = {
-        let mut v = vec![""; app_index.len()];
-        for (app, &i) in &app_index {
-            v[i] = app;
-        }
-        v
-    };
-    let app_of: Vec<usize> = requests
-        .iter()
-        .map(|r| app_index[cfg.tenants[r.tenant].mix[r.class].app])
-        .collect();
+    let table = AppTable::new(&cfg.tenants);
+    let apps = &table.apps;
+    let app_of = table.per_request(&requests);
 
     // Calm shapes are storm- and policy-independent (an empty fault plan
     // never consults the recovery policy), so one scenario per app is
@@ -343,21 +327,27 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
         let schedule = StormSchedule::generate(storm_seed, horizon, cfg.episodes());
         let peak_ends = schedule.peak_ends();
 
-        // Per-request storm assignment: the intensity in force at the
-        // arrival instant, plus a deterministic plan replica.
-        let assignment: Vec<(StormIntensity, usize)> = requests
+        // Per-request shape: the intensity in force at the arrival
+        // instant picks the calm table or a deterministic stormy plan
+        // replica. One index into every cell's shape table (calm apps
+        // first, then the storm slots) serves the service column, the
+        // fault ledger, the blame view and the flight recorder alike.
+        let mut arrivals = [0u64; StormIntensity::COUNT];
+        let shape_of: Vec<u32> = requests
             .iter()
-            .map(|r| {
-                (
-                    schedule.intensity_at(r.arrival),
-                    (r.seq % cfg.replicas as u64) as usize,
-                )
+            .zip(&app_of)
+            .map(|(r, &app)| {
+                let intensity = schedule.intensity_at(r.arrival);
+                arrivals[intensity.index()] += 1;
+                let replica = (r.seq % cfg.replicas as u64) as usize;
+                let app = app as usize;
+                (match intensity {
+                    StormIntensity::Calm => app,
+                    StormIntensity::Rising => apps.len() + slot_of(app, 0, replica),
+                    StormIntensity::Peak => apps.len() + slot_of(app, 1, replica),
+                }) as u32
             })
             .collect();
-        let mut arrivals = [0u64; StormIntensity::COUNT];
-        for (intensity, _) in &assignment {
-            arrivals[intensity.index()] += 1;
-        }
 
         let mut cells = Vec::with_capacity(cfg.policies.len());
         for policy in &cfg.policies {
@@ -366,7 +356,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             // policy: every policy faces the same storm draws and
             // differs only in how it recovers.
             let mut scenarios = Vec::with_capacity(apps.len() * STORMY.len() * replicas);
-            for &app in &apps {
+            for &app in apps {
                 for (si, &intensity) in STORMY.iter().enumerate() {
                     for k in 0..replicas {
                         let plan_seed = mix(storm_seed, ((si as u64 + 1) << 32) | k as u64);
@@ -396,8 +386,9 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                     },
                 }
             };
-            let calm_shapes: Vec<ShapeOutcome> = calm_entries.iter().map(|e| resolve(e)).collect();
-            let storm_shapes: Vec<ShapeOutcome> = entries.iter().map(|e| resolve(e)).collect();
+            let cell_entries: Vec<&crate::engine::ScenarioResult> =
+                calm_entries.iter().chain(&entries).map(|e| &**e).collect();
+            let shapes: Vec<ShapeOutcome> = cell_entries.iter().map(|e| resolve(e)).collect();
 
             // Soak-scale leak audit over every simulated shape in the
             // cell (calm + stormy), before any request rides them.
@@ -406,11 +397,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             let mut violations: Vec<String> = Vec::new();
             let mut max_shape_events = 0usize;
             let mut aborted_shapes = 0usize;
-            let labelled = calm_entries
-                .iter()
-                .zip(&calm_shapes)
-                .chain(entries.iter().zip(&storm_shapes));
-            for (entry, shape) in labelled {
+            for (entry, shape) in cell_entries.iter().zip(&shapes) {
                 match &shape.audit {
                     Some(a) => {
                         if let Err(e) = a.check() {
@@ -439,12 +426,8 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             // Per-request service resolution + fault ledger.
             let mut service: Vec<Result<SimDuration, String>> = Vec::with_capacity(requests.len());
             let mut ledger = FaultLedger::default();
-            for (ri, &(intensity, replica)) in assignment.iter().enumerate() {
-                let shape = match intensity {
-                    StormIntensity::Calm => &calm_shapes[app_of[ri]],
-                    StormIntensity::Rising => &storm_shapes[slot_of(app_of[ri], 0, replica)],
-                    StormIntensity::Peak => &storm_shapes[slot_of(app_of[ri], 1, replica)],
-                };
+            for &si in &shape_of {
+                let shape = &shapes[si as usize];
                 shape.classify(&mut ledger);
                 service.push(shape.service.clone());
             }
@@ -522,34 +505,10 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             // burn rates and incidents, correlated against this
             // profile's calendar and blamed via the critical paths of
             // the shapes its requests rode.
-            // Request→shape mapping shared by the watchtower's blame
-            // table and the flight recorder's span decomposition (calm
-            // shape table first, then the cell's storm table).
-            let shape_of: Vec<u32> = if cfg.watch.is_some() || cfg.flight.is_some() {
-                assignment
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, &(intensity, replica))| {
-                        (match intensity {
-                            StormIntensity::Calm => app_of[ri],
-                            StormIntensity::Rising => apps.len() + slot_of(app_of[ri], 0, replica),
-                            StormIntensity::Peak => apps.len() + slot_of(app_of[ri], 1, replica),
-                        }) as u32
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
             let mut watch = cfg.watch.as_ref().map(|wcfg| {
                 let samples = rollup.into_sorted();
-                let attrs: Vec<hcc_trace::Attribution> = calm_entries
-                    .iter()
-                    .chain(entries.iter())
-                    .map(|entry| match entry.run() {
-                        Ok(r) => hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-                        Err(_) => hcc_trace::Attribution::default(),
-                    })
-                    .collect();
+                let attrs: Vec<hcc_trace::Attribution> =
+                    cell_entries.iter().map(|e| shape_attr(e)).collect();
                 crate::watch::observe(
                     wcfg,
                     &crate::watch::SoakView {
@@ -574,19 +533,8 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
             // same shape tables the blame view indexes, then hand the
             // watchtower its incident→exemplar links.
             let flight = cfg.flight.map(|_| {
-                let decomps: Vec<hcc_trace::flight::ShapeDecomp> = calm_entries
-                    .iter()
-                    .chain(entries.iter())
-                    .map(|entry| match entry.run() {
-                        Ok(r) => hcc_trace::flight::ShapeDecomp {
-                            total: SimDuration::from_nanos(r.end.as_nanos()),
-                            attr: hcc_trace::critpath::extract(&r.timeline, &r.causal)
-                                .attribution(),
-                            faults: r.fault,
-                        },
-                        Err(_) => hcc_trace::flight::ShapeDecomp::default(),
-                    })
-                    .collect();
+                let decomps: Vec<hcc_trace::flight::ShapeDecomp> =
+                    cell_entries.iter().map(|e| shape_decomp(e)).collect();
                 flight_rec.resolve(&shape_of, &decomps)
             });
             if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
@@ -599,7 +547,7 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 ledger,
                 sim_faults,
                 audit,
-                shapes: calm_shapes.len() + storm_shapes.len(),
+                shapes: shapes.len(),
                 aborted_shapes,
                 max_shape_events,
                 sessions_established,

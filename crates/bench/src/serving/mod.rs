@@ -12,11 +12,12 @@
 //! paper's per-request overheads compound into p99/p999 queueing pain.
 //!
 //! Request *shapes* are memoized: every request of a (tenant, class)
-//! resolves to the same `Scenario`, so the [`ExperimentEngine`] simulates
-//! each distinct shape once and serves the other ~10⁵ requests from its
-//! cache — which is what keeps million-request sweeps tractable (the
-//! engine's cache-hit counters double as the serving bench's hit-rate
-//! metric).
+//! rides its app's `Scenario`, so the [`ExperimentEngine`] simulates each
+//! distinct app once per mode, up front, and every request then reads
+//! its service from that per-app table by index. No request goes back
+//! through the engine, which is what keeps million-request sweeps
+//! tractable: the engine's `scenarios_run` is exactly
+//! `2 × distinct_shapes` whatever the request count.
 //!
 //! Everything is virtual-time deterministic: one seed fixes the arrival
 //! trace, the scheduler decisions, and every latency in the report, and
@@ -27,14 +28,12 @@ pub mod cluster;
 pub mod report;
 pub mod scheduler;
 
-use std::collections::BTreeMap;
-
 use hcc_runtime::SimConfig;
 use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::engine::ExperimentEngine;
+use crate::engine::{ExperimentEngine, ScenarioResult};
 
 pub use arrival::{ArrivalKind, ArrivalProcess, Request};
 pub use report::{ModeRun, SchedulerRun, ServingReport, TenantStats};
@@ -52,10 +51,6 @@ pub const DEFAULT_SEED: u64 = 0xCC_5E21;
 
 /// Default seed baked into every shape scenario's `SimConfig`.
 pub const DEFAULT_SHAPE_SEED: u64 = 0x5E21_2026;
-
-/// Engine batch size for the per-request cache stream: bounds peak
-/// scenario memory while still amortizing batch overhead.
-const STREAM_CHUNK: usize = 8192;
 
 /// Full configuration of one serving experiment.
 #[derive(Debug, Clone)]
@@ -159,10 +154,85 @@ fn env_u64(var: &str) -> Option<u64> {
     parsed.ok()
 }
 
-/// Runs the full serving experiment: generates the trace, resolves every
-/// request shape through the memoizing engine (both modes), and drains
-/// the identical trace through each configured scheduler CC-off and
-/// CC-on.
+/// The distinct apps a tenant population requests, in first-seen
+/// (tenant, class) order, and each class's index into them: the shape
+/// table both soaks key their per-app simulations by.
+pub struct AppTable {
+    /// Distinct apps, first-seen order.
+    pub apps: Vec<&'static str>,
+    /// `slots[tenant][class]` indexes `apps`.
+    slots: Vec<Vec<u32>>,
+}
+
+impl AppTable {
+    /// Builds the table for `tenants`.
+    pub fn new(tenants: &[TenantSpec]) -> Self {
+        let mut apps: Vec<&'static str> = Vec::new();
+        let mut slots = Vec::with_capacity(tenants.len());
+        for tenant in tenants {
+            let mut row = Vec::with_capacity(tenant.mix.len());
+            for class in &tenant.mix {
+                let slot = match apps.iter().position(|&a| a == class.app) {
+                    Some(i) => i,
+                    None => {
+                        apps.push(class.app);
+                        apps.len() - 1
+                    }
+                };
+                row.push(slot as u32);
+            }
+            slots.push(row);
+        }
+        AppTable { apps, slots }
+    }
+
+    /// Index into `apps` of `tenant`'s `class`.
+    pub fn slot(&self, tenant: usize, class: usize) -> usize {
+        self.slots[tenant][class] as usize
+    }
+
+    /// Each request's index into `apps`.
+    pub fn per_request(&self, requests: &[Request]) -> Vec<u32> {
+        requests
+            .iter()
+            .map(|r| self.slots[r.tenant][r.class])
+            .collect()
+    }
+}
+
+/// A simulated shape's service time, or its failure.
+pub(crate) fn shape_service(entry: &ScenarioResult) -> Result<SimDuration, String> {
+    match entry.run() {
+        Ok(r) => Ok(SimDuration::from_nanos(r.end.as_nanos())),
+        Err(f) => Err(f.error),
+    }
+}
+
+/// A simulated shape's critical-path attribution (empty if it failed).
+pub(crate) fn shape_attr(entry: &ScenarioResult) -> hcc_trace::Attribution {
+    match entry.run() {
+        Ok(r) => hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
+        Err(_) => hcc_trace::Attribution::default(),
+    }
+}
+
+/// A simulated shape's flight decomposition (empty if it failed).
+pub(crate) fn shape_decomp(entry: &ScenarioResult) -> hcc_trace::flight::ShapeDecomp {
+    match entry.run() {
+        Ok(r) => hcc_trace::flight::ShapeDecomp {
+            total: SimDuration::from_nanos(r.end.as_nanos()),
+            attr: hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
+            faults: r.fault,
+        },
+        Err(_) => hcc_trace::flight::ShapeDecomp::default(),
+    }
+}
+
+/// Runs the full serving experiment: generates the trace, simulates
+/// every distinct shape once per mode through the memoizing engine,
+/// resolves each request's service from that table by its app, and
+/// drains the identical trace through each configured scheduler CC-off
+/// and CC-on.
 pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     assert!(!cfg.tenants.is_empty(), "serving needs at least one tenant");
     assert!(
@@ -171,20 +241,8 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     );
 
     // Distinct shape working set: one scenario per app per mode.
-    let mut app_index: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for tenant in &cfg.tenants {
-        for class in &tenant.mix {
-            let next = app_index.len();
-            app_index.entry(class.app).or_insert(next);
-        }
-    }
-    let apps: Vec<&'static str> = {
-        let mut v = vec![""; app_index.len()];
-        for (app, &i) in &app_index {
-            v[i] = app;
-        }
-        v
-    };
+    let table = AppTable::new(&cfg.tenants);
+    let apps = &table.apps;
     let prefetch: Vec<Scenario> = CcMode::ALL
         .iter()
         .flat_map(|&cc| {
@@ -194,14 +252,10 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
         .collect();
     // Parallel fan-out: every distinct shape simulates once, up front.
     let prefetched = engine.run_all(&prefetch);
-    let shape_of = |cc: CcMode, app: &str| -> Result<SimDuration, String> {
-        let mode_base = if cc.is_on() { apps.len() } else { 0 };
-        let entry = &prefetched[mode_base + app_index[app]];
-        match entry.run() {
-            Ok(r) => Ok(SimDuration::from_nanos(r.end.as_nanos())),
-            Err(f) => Err(f.error),
-        }
-    };
+    let (off_entries, on_entries) = prefetched.split_at(apps.len());
+    // Per-mode service of every distinct app: `shapes[mode][app]`.
+    let shapes: [Vec<Result<SimDuration, String>>; 2] =
+        [off_entries, on_entries].map(|entries| entries.iter().map(|e| shape_service(e)).collect());
 
     // Offered load: size per-tenant rates off the CC-off mean service so
     // the baseline cluster sits near `target_util`.
@@ -209,11 +263,12 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     let rates: Vec<f64> = cfg
         .tenants
         .iter()
-        .map(|tenant| {
+        .enumerate()
+        .map(|(ti, tenant)| {
             let mut weighted_ns = 0.0f64;
             let mut weight = 0.0f64;
-            for class in &tenant.mix {
-                if let Ok(p) = shape_of(CcMode::Off, class.app) {
+            for (ci, class) in tenant.mix.iter().enumerate() {
+                if let Ok(p) = &shapes[0][table.slot(ti, ci)] {
                     weighted_ns += p.as_nanos() as f64 * f64::from(class.weight);
                     weight += f64::from(class.weight);
                 }
@@ -230,73 +285,33 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
 
     let requests = arrival::generate(&cfg.tenants, &rates, cfg.arrival, cfg.requests, cfg.seed);
 
-    // Resolve every request's shape through the engine cache, chunked so
-    // a 10^6-request stream never materializes all its scenarios at once.
-    // This is the honest accounting of the memoization win: ~2N requests
-    // hit a working set of `apps x modes` simulations.
-    let mut service: [Vec<Result<SimDuration, String>>; 2] = [
-        Vec::with_capacity(requests.len()),
-        Vec::with_capacity(requests.len()),
-    ];
-    for (mi, &cc) in CcMode::ALL.iter().enumerate() {
-        let shape_cfg = cfg.shape_cfg(cc);
-        for chunk in requests.chunks(STREAM_CHUNK) {
-            let scenarios: Vec<Scenario> = chunk
-                .iter()
-                .map(|r| {
-                    let app = cfg.tenants[r.tenant].mix[r.class].app;
-                    Scenario::standard(app, shape_cfg.clone())
-                })
-                .collect();
-            for result in engine.run_all(&scenarios) {
-                service[mi].push(match result.run() {
-                    Ok(r) => Ok(SimDuration::from_nanos(r.end.as_nanos())),
-                    Err(f) => Err(f.error),
-                });
-            }
-        }
-    }
-
-    // Watchtower inputs shared by every scheduler: tenant labels, the
-    // chaos lab's default budgets, and a per-request blame table built
-    // from the CC-on shape attributions (each request blames its app's
-    // critical path).
-    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
-    let budgets = crate::chaos::default_budgets(&cfg.tenants);
-    let blame = cfg.watch.map(|_| {
-        let shape_of: Vec<u32> = requests
+    // One request→shape index, shared by the per-mode service tables,
+    // the watchtower's blame view and the flight recorder.
+    let shape_of = table.per_request(&requests);
+    let service: [Vec<Result<SimDuration, String>>; 2] = shapes.each_ref().map(|per_app| {
+        shape_of
             .iter()
-            .map(|r| app_index[cfg.tenants[r.tenant].mix[r.class].app] as u32)
-            .collect();
-        let attrs: Vec<hcc_trace::Attribution> = (0..apps.len())
-            .map(|ai| match prefetched[apps.len() + ai].run() {
-                Ok(r) => hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-                Err(_) => hcc_trace::Attribution::default(),
-            })
-            .collect();
-        (shape_of, attrs)
+            .map(|&s| per_app[s as usize].clone())
+            .collect()
     });
 
-    // Flight-recorder inputs: the same request→shape mapping plus one
-    // full decomposition (service total, critical-path attribution,
-    // recovery counters) per distinct CC-on shape. Built once per soak,
-    // not per request.
-    let flight_tables = cfg.flight.map(|_| {
-        let shape_of: Vec<u32> = requests
+    // Watchtower inputs shared by every scheduler: tenant labels, the
+    // chaos lab's default budgets, and the CC-on shape attributions
+    // (each request blames its app's critical path).
+    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
+    let budgets = crate::chaos::default_budgets(&cfg.tenants);
+    let attrs = cfg
+        .watch
+        .map(|_| on_entries.iter().map(|e| shape_attr(e)).collect::<Vec<_>>());
+
+    // Flight-recorder inputs: one full decomposition (service total,
+    // critical-path attribution, recovery counters) per distinct CC-on
+    // shape. Built once per soak, not per request.
+    let decomps = cfg.flight.map(|_| {
+        on_entries
             .iter()
-            .map(|r| app_index[cfg.tenants[r.tenant].mix[r.class].app] as u32)
-            .collect();
-        let decomps: Vec<hcc_trace::flight::ShapeDecomp> = (0..apps.len())
-            .map(|ai| match prefetched[apps.len() + ai].run() {
-                Ok(r) => hcc_trace::flight::ShapeDecomp {
-                    total: SimDuration::from_nanos(r.end.as_nanos()),
-                    attr: hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-                    faults: r.fault,
-                },
-                Err(_) => hcc_trace::flight::ShapeDecomp::default(),
-            })
-            .collect();
-        (shape_of, decomps)
+            .map(|e| shape_decomp(e))
+            .collect::<Vec<_>>()
     });
 
     let runs = cfg
@@ -350,15 +365,16 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
                         horizon: on.end,
                         queue: on.metrics.gauge_series("serving.queue_depth"),
                         storm: None,
-                        blame: blame
-                            .as_ref()
-                            .map(|(shape_of, attrs)| crate::watch::BlameView { shape_of, attrs }),
+                        blame: attrs.as_ref().map(|attrs| crate::watch::BlameView {
+                            shape_of: &shape_of,
+                            attrs,
+                        }),
                     },
                 )
             });
-            let flight = flight_tables.as_ref().map(|(shape_of, decomps)| {
-                std::mem::take(&mut flight_rec).resolve(shape_of, decomps)
-            });
+            let flight = decomps
+                .as_ref()
+                .map(|decomps| std::mem::take(&mut flight_rec).resolve(&shape_of, decomps));
             if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
                 w.link_exemplars(f);
             }
@@ -413,13 +429,24 @@ mod tests {
     }
 
     #[test]
-    fn shapes_ride_the_engine_cache() {
+    fn engine_work_is_per_shape_not_per_request() {
         let engine = ExperimentEngine::new(2);
         let rep = run(&small(), &engine);
+        let shapes = 2 * rep.distinct_shapes as u64;
         let stats = engine.stats();
-        // 2 modes x distinct apps simulate; the 2N request stream hits.
-        assert_eq!(stats.scenarios_run, 2 * rep.distinct_shapes as u64);
-        assert!(stats.cache_hits >= 2 * 200);
+        // 2 modes x distinct apps simulate; no request goes back through
+        // the engine.
+        assert_eq!(stats.scenarios_run, shapes);
+        assert_eq!(stats.cache_hits, 0);
+        // A rerun, at any request count, costs one hit per shape.
+        let bigger = ServingConfig {
+            requests: 2_000,
+            ..small()
+        };
+        run(&bigger, &engine);
+        let stats = engine.stats();
+        assert_eq!(stats.scenarios_run, shapes);
+        assert_eq!(stats.cache_hits, shapes);
     }
 
     #[test]
