@@ -14,41 +14,19 @@
 //! 1 = leak / conservation / identity violation, 2 = usage error.
 
 use hcc_bench::chaos::{self, ChaosConfig};
+use hcc_bench::cli::{self, Cli};
 use hcc_bench::engine;
-use hcc_bench::serving::ArrivalKind;
 use hcc_bench::serving::SchedulerKind;
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{RecoveryPolicy, StormProfile};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: chaos [--requests N] [--days N] [--seed S] [--gpus N] [--tenants N] \
-         [--profiles p1,p2|all] [--policies retry,degrade,abort|all] [--replicas N] \
-         [--episodes-per-day N] [--arrival poisson|bursty|diurnal] \
-         [--scheduler fifo|priority|batching] [--watch] [--flight] [--json <path>]"
-    );
-    std::process::exit(2);
-}
-
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("chaos: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
+const CLI: Cli = Cli {
+    bin: "chaos",
+    usage: "usage: chaos [--requests N] [--days N] [--seed S] [--gpus N] [--tenants N] \
+            [--profiles p1,p2|all] [--policies retry,degrade,abort|all] [--replicas N] \
+            [--episodes-per-day N] [--arrival poisson|bursty|diurnal] \
+            [--scheduler fifo|priority|batching] [--watch] [--flight] [--json <path>]",
+};
 
 fn parse_profiles(raw: &str) -> Vec<StormProfile> {
     if raw.trim() == "all" {
@@ -58,7 +36,7 @@ fn parse_profiles(raw: &str) -> Vec<StormProfile> {
         .map(|name| {
             StormProfile::by_name(name.trim()).unwrap_or_else(|| {
                 let known: Vec<&str> = StormProfile::builtin().iter().map(|p| p.name).collect();
-                bad(
+                CLI.bad(
                     "--profiles",
                     &format!(
                         "unknown storm profile {:?} (profiles: {}, or all)",
@@ -78,7 +56,7 @@ fn parse_policies(raw: &str) -> Vec<RecoveryPolicy> {
     raw.split(',')
         .map(|name| {
             RecoveryPolicy::parse(name.trim()).unwrap_or_else(|| {
-                bad(
+                CLI.bad(
                     "--policies",
                     &format!(
                         "unknown recovery policy {:?} (policies: retry, degrade, abort, or all)",
@@ -99,45 +77,27 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--requests" => cfg.requests = parse_u64(&arg, args.next()).max(1),
-            "--days" => cfg.days = parse_u64(&arg, args.next()).clamp(1, 3650),
-            "--seed" => cfg.seed = parse_u64(&arg, args.next()),
-            "--gpus" => cfg.gpus = parse_u64(&arg, args.next()).max(1) as usize,
-            "--tenants" => tenant_count = parse_u64(&arg, args.next()).max(1) as usize,
-            "--replicas" => cfg.replicas = parse_u64(&arg, args.next()).clamp(1, 16) as u32,
+            "--requests" => cfg.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS),
+            "--days" => cfg.days = CLI.u64_in(&arg, args.next(), cli::DAYS),
+            "--seed" => cfg.seed = CLI.u64(&arg, args.next()),
+            "--gpus" => cfg.gpus = CLI.u64_in(&arg, args.next(), cli::GPUS) as usize,
+            "--tenants" => tenant_count = CLI.u64_in(&arg, args.next(), cli::tenants()) as usize,
+            "--replicas" => cfg.replicas = CLI.u64_in(&arg, args.next(), 1..=16) as u32,
             "--episodes-per-day" => {
-                cfg.episodes_per_day = parse_u64(&arg, args.next()).clamp(1, 1440) as u32;
+                cfg.episodes_per_day = CLI.u64_in(&arg, args.next(), 1..=1440) as u32;
             }
-            "--profiles" => match args.next() {
-                Some(raw) => cfg.profiles = parse_profiles(&raw),
-                None => bad(&arg, "missing value"),
-            },
-            "--policies" => match args.next() {
-                Some(raw) => cfg.policies = parse_policies(&raw),
-                None => bad(&arg, "missing value"),
-            },
-            "--arrival" => match args.next() {
-                Some(raw) => match ArrivalKind::parse(&raw) {
-                    Some(kind) => cfg.arrival = kind,
-                    None => bad(
-                        &arg,
-                        &format!(
-                            "unknown arrival process {raw:?} (expected poisson|bursty|diurnal)"
-                        ),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--scheduler" => match args.next() {
-                Some(raw) => match SchedulerKind::parse(&raw) {
-                    Some(kind) => cfg.scheduler = kind,
-                    None => bad(
+            "--profiles" => cfg.profiles = parse_profiles(&CLI.value(&arg, args.next())),
+            "--policies" => cfg.policies = parse_policies(&CLI.value(&arg, args.next())),
+            "--arrival" => cfg.arrival = CLI.arrival(&arg, args.next()),
+            "--scheduler" => {
+                let raw = CLI.value(&arg, args.next());
+                cfg.scheduler = SchedulerKind::parse(&raw).unwrap_or_else(|| {
+                    CLI.bad(
                         &arg,
                         &format!("unknown scheduler {raw:?} (expected fifo|priority|batching)"),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
+                    )
+                });
+            }
             "--watch" => {
                 cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env());
             }
@@ -145,7 +105,7 @@ fn main() {
                 cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
             }
             "--json" => json_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
     cfg.tenants = hcc_workloads::default_tenants(tenant_count);
@@ -185,10 +145,7 @@ fn main() {
             ("report".to_string(), report.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &doc.to_string());
     }
 
     engine::emit_stats();

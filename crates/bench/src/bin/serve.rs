@@ -17,38 +17,17 @@
 //! 4-GPU, 3-scheduler config: `--requests 100000` runs in ~0.2 s and
 //! `--requests 1000000` in ~2.2 s wall.
 
+use hcc_bench::cli::{self, Cli};
 use hcc_bench::engine;
-use hcc_bench::serving::{self, ArrivalKind, SchedulerKind, ServingConfig};
+use hcc_bench::serving::{self, SchedulerKind, ServingConfig};
 use hcc_types::json::{Json, ToJson};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
-         [--arrival poisson|bursty|diurnal] [--scheduler fifo|priority|batching|all] \
-         [--util F] [--max-batch N] [--watch] [--flight] [--json <path>]"
-    );
-    std::process::exit(2);
-}
-
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("serve: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
+const CLI: Cli = Cli {
+    bin: "serve",
+    usage: "usage: serve [--requests N] [--gpus N] [--tenants N] [--seed S] \
+            [--arrival poisson|bursty|diurnal] [--scheduler fifo|priority|batching|all] \
+            [--util F] [--max-batch N] [--watch] [--flight] [--json <path>]",
+};
 
 fn main() {
     // Harness default, then env overrides (HCC_SERVE_*), then flags.
@@ -63,41 +42,30 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--requests" => cfg.requests = parse_u64(&arg, args.next()).max(1),
-            "--gpus" => cfg.gpus = parse_u64(&arg, args.next()).max(1) as usize,
-            "--tenants" => tenant_count = parse_u64(&arg, args.next()).max(1) as usize,
-            "--seed" => cfg.seed = parse_u64(&arg, args.next()),
-            "--max-batch" => cfg.max_batch = parse_u64(&arg, args.next()).max(1) as usize,
-            "--util" => match args.next() {
-                Some(raw) => match raw.parse::<f64>() {
-                    Ok(v) => cfg.target_util = v.clamp(0.05, 0.95),
-                    Err(_) => bad(&arg, &format!("cannot parse {raw:?} as a fraction")),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--arrival" => match args.next() {
-                Some(raw) => match ArrivalKind::parse(&raw) {
-                    Some(kind) => cfg.arrival = kind,
-                    None => bad(
-                        &arg,
-                        &format!(
-                            "unknown arrival process {raw:?} (expected poisson|bursty|diurnal)"
-                        ),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--scheduler" => match args.next() {
-                Some(raw) if raw == "all" => cfg.schedulers = SchedulerKind::ALL.to_vec(),
-                Some(raw) => match SchedulerKind::parse(&raw) {
-                    Some(kind) => cfg.schedulers = vec![kind],
-                    None => bad(
-                        &arg,
-                        &format!("unknown scheduler {raw:?} (expected fifo|priority|batching|all)"),
-                    ),
-                },
-                None => bad(&arg, "missing value"),
-            },
+            "--requests" => cfg.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS),
+            "--gpus" => cfg.gpus = CLI.u64_in(&arg, args.next(), cli::GPUS) as usize,
+            "--tenants" => tenant_count = CLI.u64_in(&arg, args.next(), cli::tenants()) as usize,
+            "--seed" => cfg.seed = CLI.u64(&arg, args.next()),
+            "--max-batch" => {
+                cfg.max_batch = CLI.u64_in(&arg, args.next(), cli::MAX_BATCH) as usize;
+            }
+            "--util" => cfg.target_util = CLI.f64_in(&arg, args.next(), cli::UTIL),
+            "--arrival" => cfg.arrival = CLI.arrival(&arg, args.next()),
+            "--scheduler" => {
+                let raw = CLI.value(&arg, args.next());
+                cfg.schedulers = if raw == "all" {
+                    SchedulerKind::ALL.to_vec()
+                } else {
+                    vec![SchedulerKind::parse(&raw).unwrap_or_else(|| {
+                        CLI.bad(
+                            &arg,
+                            &format!(
+                                "unknown scheduler {raw:?} (expected fifo|priority|batching|all)"
+                            ),
+                        )
+                    })]
+                };
+            }
             "--watch" => {
                 cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env());
             }
@@ -105,7 +73,7 @@ fn main() {
                 cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
             }
             "--json" => json_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
     cfg.tenants = hcc_workloads::default_tenants(tenant_count);
@@ -137,10 +105,7 @@ fn main() {
             ("report".to_string(), report.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &doc.to_string());
     }
 
     engine::emit_stats();

@@ -22,48 +22,25 @@
 //! Exit codes: 0 = soak healthy, 1 = underlying soak violated a
 //! structural invariant, 2 = usage error.
 
+use hcc_bench::cli::{self, Cli};
 use hcc_bench::watch::{self, WatchReport};
 use hcc_bench::{chaos, engine, serving};
 use hcc_types::json::{Json, ToJson};
 use hcc_types::StormProfile;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: slo_watch [--serve] [--flight] [--requests N] [--days N] [--gpus N] [--seed S] \
-         [--profile NAME] [--util F] [--json <path>] [--prom <path>]"
-    );
-    std::process::exit(2);
-}
-
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("slo_watch: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
+const CLI: Cli = Cli {
+    bin: "slo_watch",
+    usage: "usage: slo_watch [--serve] [--flight] [--requests N] [--days N] [--gpus N] [--seed S] \
+            [--profile NAME] [--util F] [--json <path>] [--prom <path>]",
+};
 
 fn main() {
+    // The two canonical soaks; flags override whichever one applies.
+    let mut serve = watch::calm_soak();
+    let mut storm = watch::stormy_soak();
+    serve.watch = Some(watch::WatchConfig::default().from_env());
+    storm.watch = serve.watch;
     let mut serve_mode = false;
-    let mut flight = false;
-    let mut requests: Option<u64> = None;
-    let mut days: Option<u64> = None;
-    let mut gpus: Option<usize> = None;
-    let mut seed: Option<u64> = None;
-    let mut profile: Option<StormProfile> = None;
-    let mut util: Option<f64> = None;
     let mut json_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
 
@@ -71,61 +48,47 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--serve" => serve_mode = true,
-            "--flight" => flight = true,
-            "--requests" => requests = Some(parse_u64(&arg, args.next()).max(1)),
-            "--days" => days = Some(parse_u64(&arg, args.next()).clamp(1, 3650)),
-            "--gpus" => gpus = Some(parse_u64(&arg, args.next()).max(1) as usize),
-            "--seed" => seed = Some(parse_u64(&arg, args.next())),
-            "--profile" => match args.next() {
-                Some(raw) => match StormProfile::by_name(raw.trim()) {
-                    Some(p) => profile = Some(p),
-                    None => {
-                        let known: Vec<&str> =
-                            StormProfile::builtin().iter().map(|p| p.name).collect();
-                        bad(
-                            &arg,
-                            &format!(
-                                "unknown storm profile {:?} (profiles: {})",
-                                raw.trim(),
-                                known.join(", ")
-                            ),
-                        )
-                    }
-                },
-                None => bad(&arg, "missing value"),
-            },
-            "--util" => match args.next() {
-                Some(raw) => match raw.parse::<f64>() {
-                    Ok(v) => util = Some(v.clamp(0.05, 0.95)),
-                    Err(_) => bad(&arg, &format!("cannot parse {raw:?} as a fraction")),
-                },
-                None => bad(&arg, "missing value"),
-            },
+            "--flight" => {
+                serve.flight = Some(hcc_trace::FlightConfig::default().from_env());
+                storm.flight = serve.flight;
+            }
+            "--requests" => {
+                serve.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS);
+                storm.requests = serve.requests;
+            }
+            "--days" => storm.days = CLI.u64_in(&arg, args.next(), cli::DAYS),
+            "--gpus" => {
+                serve.gpus = CLI.u64_in(&arg, args.next(), cli::GPUS) as usize;
+                storm.gpus = serve.gpus;
+            }
+            "--seed" => {
+                serve.seed = CLI.u64(&arg, args.next());
+                storm.seed = serve.seed;
+            }
+            "--profile" => {
+                let raw = CLI.value(&arg, args.next());
+                storm.profiles = vec![StormProfile::by_name(raw.trim()).unwrap_or_else(|| {
+                    let known: Vec<&str> = StormProfile::builtin().iter().map(|p| p.name).collect();
+                    CLI.bad(
+                        &arg,
+                        &format!(
+                            "unknown storm profile {:?} (profiles: {})",
+                            raw.trim(),
+                            known.join(", ")
+                        ),
+                    )
+                })];
+            }
+            "--util" => serve.target_util = CLI.f64_in(&arg, args.next(), cli::UTIL),
             "--json" => json_path = args.next(),
             "--prom" => prom_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
 
     let wall = std::time::Instant::now();
     let (header, report, healthy): (String, WatchReport, bool) = if serve_mode {
-        let mut cfg = watch::calm_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        if flight {
-            cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
-        }
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        if let Some(u) = util {
-            cfg.target_util = u;
-        }
+        let cfg = serve;
         let rep = serving::run(&cfg, engine::global());
         let header = format!(
             "=== slo watchtower: serve-shaped soak ===\n\
@@ -141,26 +104,7 @@ fn main() {
             .expect("watch plane enabled");
         (header, watch, healthy)
     } else {
-        let mut cfg = watch::stormy_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        if flight {
-            cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
-        }
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(d) = days {
-            cfg.days = d;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        if let Some(p) = profile {
-            cfg.profiles = vec![p];
-        }
+        let cfg = storm;
         let rep = chaos::run(&cfg, engine::global());
         let header = format!(
             "=== slo watchtower: chaos-shaped soak ===\n\
@@ -183,10 +127,7 @@ fn main() {
     print!("{}", report.render());
 
     if let Some(path) = prom_path {
-        if let Err(e) = std::fs::write(&path, report.to_prometheus()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &report.to_prometheus());
     }
 
     if let Some(path) = json_path {
@@ -219,10 +160,7 @@ fn main() {
             ("watch".to_string(), report.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &doc.to_string());
     }
 
     engine::emit_stats();

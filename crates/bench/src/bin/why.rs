@@ -25,39 +25,20 @@
 //! Exit codes: 0 = healthy, 1 = span-identity violation / unknown
 //! request or incident / unhealthy soak, 2 = usage error.
 
+use hcc_bench::chaos::{self, ChaosConfig};
+use hcc_bench::cli::{self, Cli};
+use hcc_bench::engine;
+use hcc_bench::serving::{self, ServingConfig};
 use hcc_bench::watch::{self, WatchReport};
-use hcc_bench::{chaos, engine, serving};
 use hcc_trace::metrics::to_prometheus_with_exemplars;
 use hcc_trace::{ChromeExport, FlightConfig, FlightLog, Histogram, MetricsSet};
 use hcc_types::json::{Json, ToJson};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: why [--serve] [--request N] [--incident N] [--requests N] [--days N] \
-         [--gpus N] [--seed S] [--chrome <path>] [--prom <path>] [--json <path>]"
-    );
-    std::process::exit(2);
-}
-
-/// One-line diagnostic naming the flag and the offending value, then the
-/// usage line and a nonzero exit.
-fn bad(flag: &str, detail: &str) -> ! {
-    eprintln!("why: {flag}: {detail}");
-    usage()
-}
-
-fn parse_u64(flag: &str, value: Option<String>) -> u64 {
-    let Some(raw) = value else {
-        bad(flag, "missing value")
-    };
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
-    };
-    parsed.unwrap_or_else(|| bad(flag, &format!("cannot parse {raw:?} as an integer")))
-}
+const CLI: Cli = Cli {
+    bin: "why",
+    usage: "usage: why [--serve] [--request N] [--incident N] [--requests N] [--days N] \
+            [--gpus N] [--seed S] [--chrome <path>] [--prom <path>] [--json <path>]",
+};
 
 /// One incident summary line with its exemplar links — the bridge from a
 /// watchtower page to a `--request` invocation.
@@ -86,21 +67,17 @@ fn incident_line(watch: &WatchReport, inc: &hcc_bench::watch::Incident) -> Strin
     )
 }
 
-fn write_or_die(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
-        eprintln!("cannot write {path}: {e}");
-        std::process::exit(1);
-    }
-}
-
 fn main() {
+    // The two canonical soaks, flight plane on; flags override whichever
+    // one applies.
+    let mut serve = watch::calm_soak();
+    let mut storm = watch::stormy_soak();
+    serve.watch = Some(watch::WatchConfig::default().from_env());
+    serve.flight = Some(FlightConfig::default().from_env());
+    (storm.watch, storm.flight) = (serve.watch, serve.flight);
     let mut serve_mode = false;
     let mut request: Option<u32> = None;
     let mut incident: Option<usize> = None;
-    let mut requests: Option<u64> = None;
-    let mut days: Option<u64> = None;
-    let mut gpus: Option<usize> = None;
-    let mut seed: Option<u64> = None;
     let mut chrome_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
     let mut json_path: Option<String> = None;
@@ -109,59 +86,35 @@ fn main() {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--serve" => serve_mode = true,
-            "--request" => request = Some(parse_u64(&arg, args.next()) as u32),
-            "--incident" => incident = Some(parse_u64(&arg, args.next()) as usize),
-            "--requests" => requests = Some(parse_u64(&arg, args.next()).max(1)),
-            "--days" => days = Some(parse_u64(&arg, args.next()).clamp(1, 3650)),
-            "--gpus" => gpus = Some(parse_u64(&arg, args.next()).max(1) as usize),
-            "--seed" => seed = Some(parse_u64(&arg, args.next())),
+            "--request" => {
+                request = Some(CLI.u64_in(&arg, args.next(), 0..=u64::from(u32::MAX)) as u32);
+            }
+            "--incident" => incident = Some(CLI.u64(&arg, args.next()) as usize),
+            "--requests" => {
+                serve.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS);
+                storm.requests = serve.requests;
+            }
+            "--days" => storm.days = CLI.u64_in(&arg, args.next(), cli::DAYS),
+            "--gpus" => {
+                serve.gpus = CLI.u64_in(&arg, args.next(), cli::GPUS) as usize;
+                storm.gpus = serve.gpus;
+            }
+            "--seed" => {
+                serve.seed = CLI.u64(&arg, args.next());
+                storm.seed = serve.seed;
+            }
             "--chrome" => chrome_path = args.next(),
             "--prom" => prom_path = args.next(),
             "--json" => json_path = args.next(),
-            _ => bad(&arg, "unknown flag"),
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
-
-    let flight_cfg = FlightConfig::default().from_env();
-    let serve_cfg = |flight: Option<FlightConfig>| {
-        let mut cfg = watch::calm_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        cfg.flight = flight;
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        cfg
-    };
-    let chaos_cfg = |flight: Option<FlightConfig>| {
-        let mut cfg = watch::stormy_soak();
-        cfg.watch = Some(watch::WatchConfig::default().from_env());
-        cfg.flight = flight;
-        if let Some(n) = requests {
-            cfg.requests = n;
-        }
-        if let Some(d) = days {
-            cfg.days = d;
-        }
-        if let Some(g) = gpus {
-            cfg.gpus = g;
-        }
-        if let Some(s) = seed {
-            cfg.seed = s;
-        }
-        cfg
-    };
 
     let wall = std::time::Instant::now();
     let (header, watch_rep, flight, healthy): (String, Option<WatchReport>, FlightLog, bool) =
         if serve_mode {
-            let cfg = serve_cfg(Some(flight_cfg));
-            let rep = serving::run(&cfg, engine::global());
+            let cfg = &serve;
+            let rep = serving::run(cfg, engine::global());
             let header = format!(
                 "=== why: request flight forensics ===\n\
                  soak serve | requests {} | gpus {} | scheduler {} | seed {:#x}\n",
@@ -172,8 +125,8 @@ fn main() {
             let flight = run.flight.expect("flight plane enabled");
             (header, run.watch, flight, healthy)
         } else {
-            let cfg = chaos_cfg(Some(flight_cfg));
-            let rep = chaos::run(&cfg, engine::global());
+            let cfg = &storm;
+            let rep = chaos::run(cfg, engine::global());
             let header = format!(
                 "=== why: request flight forensics ===\n\
                  soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}\n",
@@ -278,7 +231,7 @@ fn main() {
     );
 
     if let Some(path) = chrome_path {
-        write_or_die(&path, &ChromeExport::render_flight(&flight));
+        cli::write_or_die(&path, &ChromeExport::render_flight(&flight));
     }
 
     if let Some(path) = prom_path {
@@ -287,7 +240,7 @@ fn main() {
             "request.latency",
             Histogram::from_durations(flight.samples.iter().map(|s| s.latency())),
         );
-        write_or_die(
+        cli::write_or_die(
             &path,
             &to_prometheus_with_exemplars(&set, &flight.exemplar_points()),
         );
@@ -300,11 +253,17 @@ fn main() {
         // the recorder's overhead, never hides it.
         let off_wall = std::time::Instant::now();
         if serve_mode {
-            let rep = serving::run(&serve_cfg(None), engine::global());
-            assert!(rep.conserved());
+            let cfg = ServingConfig {
+                flight: None,
+                ..serve
+            };
+            assert!(serving::run(&cfg, engine::global()).conserved());
         } else {
-            let rep = chaos::run(&chaos_cfg(None), engine::global());
-            assert!(rep.healthy());
+            let cfg = ChaosConfig {
+                flight: None,
+                ..storm
+            };
+            assert!(chaos::run(&cfg, engine::global()).healthy());
         }
         let off_elapsed = off_wall.elapsed();
         let stats = engine::global().stats();
@@ -334,7 +293,7 @@ fn main() {
             ("flight".to_string(), flight.to_json()),
             ("engine".to_string(), stats.to_json()),
         ]);
-        write_or_die(&path, &doc.to_string());
+        cli::write_or_die(&path, &doc.to_string());
     }
 
     engine::emit_stats();

@@ -15,11 +15,14 @@
 //!
 //! Shapes are memoized exactly as in [`crate::serving`]: the working set
 //! is `apps × {rising, peak} × replicas` fault scenarios per cell plus
-//! one shared calm scenario per app, so a 10⁵–10⁶ request soak costs a
-//! few hundred simulations. On top of the SLO verdicts, the lab audits
-//! soak-scale resource conservation: every surviving shape's
-//! [`LeakAudit`] must balance, session pools and depth gauges must drain
-//! to zero, and per-shape trace growth must stay bounded.
+//! one shared calm scenario per app, simulated and resolved once per run,
+//! so a 10⁵–10⁶ request soak costs a few hundred simulations. Each cell
+//! is one [`crate::soak`] cell, so its gauges, rollups and flight
+//! exemplars are derived from the cluster's outcomes after the loop.
+//! On top of the SLO verdicts, the lab audits soak-scale resource
+//! conservation: every surviving shape's [`LeakAudit`] must balance,
+//! session pools and depth gauges must drain to zero, and per-shape
+//! trace growth must stay bounded.
 //!
 //! Everything is virtual-time deterministic: one seed fixes the storm
 //! calendars, the fault plans, the arrival trace, and every verdict, and
@@ -31,15 +34,15 @@ use hcc_runtime::{LeakAudit, SimConfig};
 use hcc_trace::Series;
 use hcc_types::calib::TdxCalib;
 use hcc_types::{
-    ByteSize, CcMode, FaultCounts, LatencyBudget, RecoveryPolicy, SimDuration, SimTime,
-    StormIntensity, StormProfile, StormSchedule,
+    env_u64, ByteSize, CcMode, LatencyBudget, RecoveryPolicy, SimDuration, SimTime, StormIntensity,
+    StormProfile, StormSchedule,
 };
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
 use crate::engine::ExperimentEngine;
-use crate::serving::report as serving_report;
-use crate::serving::{arrival, cluster, ArrivalKind, SchedulerKind};
-use crate::serving::{shape_attr, shape_decomp, AppTable};
+use crate::serving::{arrival, AppTable, ArrivalKind, SchedulerKind};
+use crate::soak::{CellRun, ShapeTable, SoakCell, WatchPlane};
+use crate::watch::StormContext;
 
 pub use report::{
     ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict, TimeToRecover,
@@ -107,11 +110,11 @@ pub struct ChaosConfig {
     pub shape_seed: u64,
     /// TDX calibration for the per-device session pools.
     pub tdx: TdxCalib,
-    /// SLO watchtower: when set, every cell records completion rollups
-    /// and carries a windowed burn-rate/incident timeline correlated
-    /// against the cell's storm calendar. `None` (the default) keeps the
-    /// rollup plane disabled and the rendered report byte-identical to
-    /// a watch-free build.
+    /// SLO watchtower: when set, every cell derives completion rollups
+    /// from its outcomes and carries a windowed burn-rate/incident
+    /// timeline correlated against the cell's storm calendar. `None`
+    /// (the default) keeps the rollup plane disabled and the rendered
+    /// report byte-identical to a watch-free build.
     pub watch: Option<crate::watch::WatchConfig>,
     /// Request flight recorder: when set, every cell samples per-request
     /// span trees (tail exemplars plus a seeded uniform reservoir per
@@ -214,17 +217,6 @@ pub fn default_budgets(tenants: &[TenantSpec]) -> Vec<LatencyBudget> {
         .collect()
 }
 
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    parsed.ok()
-}
-
 /// Decorrelating seed mix (distinct from both the injector's and the
 /// storm calendar's internal constants).
 fn mix(seed: u64, salt: u64) -> u64 {
@@ -233,32 +225,6 @@ fn mix(seed: u64, salt: u64) -> u64 {
 
 /// Salt separating the arrival stream from storm-calendar seeds.
 const ARRIVAL_SALT: u64 = 0xA55A_11E5;
-
-/// How one simulated shape resolves for the requests riding it.
-struct ShapeOutcome {
-    /// Solo service time, or the abort error.
-    service: Result<SimDuration, String>,
-    /// The shape's fault counters (zero when the run aborted — an
-    /// aborted context carries no ledger out).
-    fault: FaultCounts,
-    /// The shape's conservation snapshot (None when the run aborted).
-    audit: Option<LeakAudit>,
-}
-
-impl ShapeOutcome {
-    /// Applies the shape's deterministic outcome to a riding request.
-    fn classify(&self, ledger: &mut FaultLedger) {
-        if self.service.is_err() {
-            ledger.rejected += 1;
-        } else if self.fault.degraded > 0 {
-            ledger.degraded += 1;
-        } else if self.fault.recovered > 0 {
-            ledger.recovered += 1;
-        } else {
-            ledger.clean += 1;
-        }
-    }
-}
 
 /// Runs the full chaos lab: one shared arrival trace, one storm calendar
 /// per profile, one cluster run per (profile, policy) cell.
@@ -304,13 +270,15 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
 
     // Calm shapes are storm- and policy-independent (an empty fault plan
     // never consults the recovery policy), so one scenario per app is
-    // shared by every cell.
+    // simulated and resolved once, shared by every cell.
     let calm_cfg = SimConfig::new(CcMode::On).with_seed(cfg.shape_seed);
     let calm_scen: Vec<Scenario> = apps
         .iter()
         .map(|&app| Scenario::standard(app, calm_cfg.clone()))
         .collect();
     let calm_entries = engine.run_all(&calm_scen);
+    let mut calm_shapes = ShapeTable::new(cfg.watch.is_some() || cfg.flight.is_some());
+    calm_shapes.extend(&calm_entries);
 
     // Stormy intensities, in escalation order: index 0 = rising, 1 = peak.
     const STORMY: [StormIntensity; 2] = [StormIntensity::Rising, StormIntensity::Peak];
@@ -318,8 +286,6 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
     let slot_of = |app: usize, stormy: usize, replica: usize| -> usize {
         (app * STORMY.len() + stormy) * replicas + replica
     };
-
-    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
 
     let mut profiles_out = Vec::with_capacity(cfg.profiles.len());
     for profile in &cfg.profiles {
@@ -348,6 +314,12 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 }) as u32
             })
             .collect();
+        // Requests riding each shape: a shape's deterministic outcome
+        // classifies all of them at once in the fault ledger.
+        let mut riders = vec![0u64; apps.len() * (1 + STORMY.len() * replicas)];
+        for &s in &shape_of {
+            riders[s as usize] += 1;
+        }
 
         let mut cells = Vec::with_capacity(cfg.policies.len());
         for policy in &cfg.policies {
@@ -369,112 +341,88 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 }
             }
             let entries = engine.run_all(&scenarios);
-
-            // Resolve every simulated shape once: service result, fault
-            // counters, and conservation snapshot.
-            let resolve = |entry: &crate::engine::ScenarioResult| -> ShapeOutcome {
-                match entry.run() {
-                    Ok(r) => ShapeOutcome {
-                        service: Ok(SimDuration::from_nanos(r.end.as_nanos())),
-                        fault: r.fault,
-                        audit: Some(r.audit.clone()),
-                    },
-                    Err(f) => ShapeOutcome {
-                        service: Err(f.error),
-                        fault: FaultCounts::default(),
-                        audit: None,
-                    },
-                }
-            };
-            let cell_entries: Vec<&crate::engine::ScenarioResult> =
-                calm_entries.iter().chain(&entries).map(|e| &**e).collect();
-            let shapes: Vec<ShapeOutcome> = cell_entries.iter().map(|e| resolve(e)).collect();
+            let mut shapes = calm_shapes.clone();
+            shapes.extend(&entries);
 
             // Soak-scale leak audit over every simulated shape in the
-            // cell (calm + stormy), before any request rides them.
+            // cell (calm + stormy), and the fault ledger of the requests
+            // riding them.
             let mut audit = LeakAudit::default();
-            let mut sim_faults = FaultCounts::default();
+            let mut ledger = FaultLedger::default();
             let mut violations: Vec<String> = Vec::new();
             let mut max_shape_events = 0usize;
             let mut aborted_shapes = 0usize;
-            for (entry, shape) in cell_entries.iter().zip(&shapes) {
-                match &shape.audit {
-                    Some(a) => {
-                        if let Err(e) = a.check() {
-                            violations.push(format!("shape {}: {e}", entry.label));
-                        }
-                        if a.events > SHAPE_EVENT_BOUND {
-                            violations.push(format!(
-                                "shape {}: {} trace events exceed the {} growth bound",
-                                entry.label, a.events, SHAPE_EVENT_BOUND
-                            ));
-                        }
-                        max_shape_events = max_shape_events.max(a.events);
-                        audit.absorb(a);
-                        sim_faults.injected += shape.fault.injected;
-                        sim_faults.retries += shape.fault.retries;
-                        sim_faults.recovered += shape.fault.recovered;
-                        sim_faults.degraded += shape.fault.degraded;
-                        sim_faults.aborted += shape.fault.aborted;
-                    }
-                    None => aborted_shapes += 1,
+            for (entry, &n) in calm_entries.iter().chain(&entries).zip(&riders) {
+                let Ok(r) = entry.run() else {
+                    aborted_shapes += 1;
+                    ledger.rejected += n;
+                    continue;
+                };
+                if let Err(e) = r.audit.check() {
+                    violations.push(format!("shape {}: {e}", entry.label));
                 }
-            }
-            // The cell-aggregate check runs after the cluster pass, once
-            // the flight recorder's store accounting has been folded in.
-
-            // Per-request service resolution + fault ledger.
-            let mut service: Vec<Result<SimDuration, String>> = Vec::with_capacity(requests.len());
-            let mut ledger = FaultLedger::default();
-            for &si in &shape_of {
-                let shape = &shapes[si as usize];
-                shape.classify(&mut ledger);
-                service.push(shape.service.clone());
+                if r.audit.events > SHAPE_EVENT_BOUND {
+                    violations.push(format!(
+                        "shape {}: {} trace events exceed the {} growth bound",
+                        entry.label, r.audit.events, SHAPE_EVENT_BOUND
+                    ));
+                }
+                max_shape_events = max_shape_events.max(r.audit.events);
+                audit.absorb(&r.audit);
+                let class = if r.fault.degraded > 0 {
+                    &mut ledger.degraded
+                } else if r.fault.recovered > 0 {
+                    &mut ledger.recovered
+                } else {
+                    &mut ledger.clean
+                };
+                *class += n;
             }
 
             // The cluster run: identical trace, identical calendar —
-            // only the recovery policy differs between cells.
-            let mut rollup = if cfg.watch.is_some() {
-                hcc_trace::RollupCollector::enabled()
-            } else {
-                hcc_trace::RollupCollector::new()
-            };
-            let mut flight_rec = hcc_trace::FlightRecorder::for_planes(
-                hcc_types::Planes::NONE.set(hcc_types::Planes::FLIGHT, cfg.flight.is_some()),
-                cfg.flight.unwrap_or_default(),
-            );
-            let raw = cluster::simulate(
-                &requests,
-                &service,
-                &cfg.tenants,
-                CcMode::On,
-                cfg.gpus,
-                cfg.scheduler,
-                cfg.max_batch,
-                &cfg.tdx,
-                &mut rollup,
-                &mut flight_rec,
-            );
+            // only the recovery policy differs between cells. The
+            // watchtower correlates against this profile's calendar and
+            // blames the critical paths of the shapes requests rode.
+            let CellRun {
+                mode,
+                watch,
+                flight,
+                sessions_established,
+                sessions_closed,
+            } = SoakCell {
+                requests: &requests,
+                tenants: &cfg.tenants,
+                shape_of: &shape_of,
+                shapes: &shapes,
+                cc: CcMode::On,
+                gpus: cfg.gpus,
+                scheduler: cfg.scheduler,
+                max_batch: cfg.max_batch,
+                tdx: &cfg.tdx,
+                watch: cfg.watch.as_ref().map(|w| WatchPlane {
+                    cfg: w,
+                    budgets: &cfg.budgets,
+                    horizon: SimTime::ZERO + horizon,
+                    storm: Some(StormContext {
+                        profile: profile.name,
+                        schedule: &schedule,
+                    }),
+                }),
+                flight: cfg.flight,
+            }
+            .run();
 
             // Fold the flight store's accounting into the cell audit:
             // the exemplar store may never outgrow its
             // `windows × (worst + reservoir)` bound over the full soak.
-            audit.flight_kept = flight_rec.kept_entries();
-            audit.flight_windows = flight_rec.window_count();
+            if let Some(f) = &flight {
+                audit.flight_kept = f.kept_entries;
+                audit.flight_windows = f.windows;
+            }
             audit.flight_window_budget = cfg.flight.map_or(0, |f| f.per_window_budget());
             if let Err(e) = audit.check() {
                 violations.push(format!("cell aggregate: {e}"));
             }
-            let sessions_established = raw.sessions_established;
-            let sessions_closed = raw.sessions_closed;
-            let mode = serving_report::mode_run(
-                CcMode::On,
-                cfg.gpus,
-                &cfg.tenants,
-                &requests,
-                &service,
-                raw,
-            );
 
             let ttr = time_to_recover(mode.metrics.gauge_series("serving.queue_depth"), &peak_ends);
 
@@ -501,53 +449,15 @@ pub fn run(cfg: &ChaosConfig, engine: &ExperimentEngine) -> ChaosReport {
                 })
                 .collect();
 
-            // The watchtower: roll the cell's completions into windowed
-            // burn rates and incidents, correlated against this
-            // profile's calendar and blamed via the critical paths of
-            // the shapes its requests rode.
-            let mut watch = cfg.watch.as_ref().map(|wcfg| {
-                let samples = rollup.into_sorted();
-                let attrs: Vec<hcc_trace::Attribution> =
-                    cell_entries.iter().map(|e| shape_attr(e)).collect();
-                crate::watch::observe(
-                    wcfg,
-                    &crate::watch::SoakView {
-                        tenant_names: &tenant_names,
-                        budgets: &cfg.budgets,
-                        samples: &samples,
-                        horizon: (SimTime::ZERO + horizon).max(mode.end),
-                        queue: mode.metrics.gauge_series("serving.queue_depth"),
-                        storm: Some(crate::watch::StormContext {
-                            profile: profile.name,
-                            schedule: &schedule,
-                        }),
-                        blame: Some(crate::watch::BlameView {
-                            shape_of: &shape_of,
-                            attrs: &attrs,
-                        }),
-                    },
-                )
-            });
-
-            // Resolve the kept skeletons into span trees against the
-            // same shape tables the blame view indexes, then hand the
-            // watchtower its incident→exemplar links.
-            let flight = cfg.flight.map(|_| {
-                let decomps: Vec<hcc_trace::flight::ShapeDecomp> =
-                    cell_entries.iter().map(|e| shape_decomp(e)).collect();
-                flight_rec.resolve(&shape_of, &decomps)
-            });
-            if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
-                w.link_exemplars(f);
-            }
-
             cells.push(PolicyCell {
                 policy: policy.clone(),
                 mode,
                 ledger,
-                sim_faults,
+                // The absorbed shape audits carry each shape's fault
+                // counters.
+                sim_faults: audit.fault,
                 audit,
-                shapes: shapes.len(),
+                shapes: shapes.service.len(),
                 aborted_shapes,
                 max_shape_events,
                 sessions_established,

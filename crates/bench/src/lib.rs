@@ -18,12 +18,14 @@
 //! exactly once per process no matter how many figures ask for it.
 
 pub mod chaos;
+pub mod cli;
 pub mod engine;
 pub mod explain;
 pub mod figures;
 pub mod harness;
 pub mod report;
 pub mod serving;
+pub mod soak;
 pub mod watch;
 
 pub use engine::ExperimentEngine;

@@ -19,7 +19,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 use hcc_tee::{SessionPool, TdCounters};
 use hcc_trace::flight::{FlightRecorder, FlightSkeleton};
 use hcc_trace::rollup::CompletionSample;
-use hcc_trace::{Gauge, MetricsSet, RollupCollector};
+use hcc_trace::{MetricsSet, RollupCollector, Series};
 use hcc_types::calib::TdxCalib;
 use hcc_types::{CcMode, SimDuration, SimTime};
 use hcc_workloads::TenantSpec;
@@ -49,9 +49,44 @@ pub struct Outcome {
     pub cold: bool,
     /// Size of the device batch the request rode in.
     pub batch: u32,
+    /// GPU the batch ran on (0 for rejections).
+    pub gpu: u32,
     /// Whether the request was rejected because its shape scenario fails
     /// deterministically (e.g. an aborted fault-injection run).
     pub rejected: bool,
+}
+
+impl Outcome {
+    /// The rollup plane's view of request `i`: settled at its completion
+    /// (its dispatch, for rejections).
+    pub fn sample(&self, i: usize, req: &Request) -> CompletionSample {
+        CompletionSample {
+            req: i as u32,
+            tenant: req.tenant as u32,
+            at: self.completion,
+            latency: self.completion.saturating_since(req.arrival),
+            rejected: self.rejected,
+        }
+    }
+
+    /// The flight plane's view of request `i`: its *own* SPDM/doorbell
+    /// admission split (co-batched members' admissions surface later as
+    /// the batch-margin span).
+    pub fn skeleton(&self, i: usize, req: &Request) -> FlightSkeleton {
+        FlightSkeleton {
+            req: i as u32,
+            tenant: req.tenant as u32,
+            gpu: self.gpu,
+            batch: self.batch,
+            arrival: req.arrival,
+            dispatch: self.dispatch,
+            settle: self.completion,
+            spdm: self.spdm,
+            doorbell: self.admission - self.spdm,
+            cold: self.cold,
+            rejected: self.rejected,
+        }
+    }
 }
 
 /// One (scheduler, mode) cluster run over the shared request trace.
@@ -88,13 +123,12 @@ pub struct ClusterRun {
 /// conservation: every admitted request either completes or rejects
 /// exactly once).
 ///
-/// `rollup` receives one [`CompletionSample`] per settled request (at
-/// its completion instant for admitted work, at its dispatch instant for
-/// rejections) when enabled; a disabled collector costs one branch per
-/// settle and never allocates. `flight` receives one [`FlightSkeleton`]
-/// per settled request under the same contract — the skeleton carries
-/// this request's *own* SPDM/doorbell admission split (co-batched
-/// members' admissions surface later as the batch-margin span).
+/// The event loop writes only the per-request [`Outcome`]s. Everything
+/// observed about the run is derived from `(Request, Outcome)` after the
+/// loop: the queue-depth and per-GPU depth gauges always, and, when the
+/// caller enabled them, one [`CompletionSample`] per request into
+/// `rollup` and one [`FlightSkeleton`] per request into `flight`
+/// ([`Outcome::sample`], [`Outcome::skeleton`]).
 pub fn simulate(
     requests: &[Request],
     service: &[Result<SimDuration, String>],
@@ -117,6 +151,7 @@ pub fn simulate(
         spdm: SimDuration::ZERO,
         cold: false,
         batch: 0,
+        gpu: 0,
         rejected: false,
     };
     let mut outcomes = vec![placeholder; requests.len()];
@@ -130,9 +165,6 @@ pub fn simulate(
         .map(|_| SessionPool::new(cc, tdx.clone()))
         .collect();
 
-    let mut queue_depth = Gauge::enabled();
-    let mut gpu_depth: Vec<Gauge> = (0..gpus).map(|_| Gauge::enabled()).collect();
-
     let mut busy = SimDuration::ZERO;
     let mut batches = 0u64;
     let mut cold_starts = 0u64;
@@ -145,7 +177,6 @@ pub fn simulate(
             let Some(batch) = queue.next_batch(requests) else {
                 break;
             };
-            queue_depth.add(now, -(batch.len() as i64));
             let shape = match &service[batch[0]] {
                 Ok(p) => *p,
                 Err(_) => {
@@ -157,32 +188,10 @@ pub fn simulate(
                         outcomes[i] = Outcome {
                             dispatch: now,
                             completion: now,
-                            admission: SimDuration::ZERO,
-                            spdm: SimDuration::ZERO,
-                            cold: false,
                             batch: batch.len() as u32,
                             rejected: true,
+                            ..placeholder
                         };
-                        rollup.record(CompletionSample {
-                            req: i as u32,
-                            tenant: requests[i].tenant as u32,
-                            at: now,
-                            latency: now.saturating_since(requests[i].arrival),
-                            rejected: true,
-                        });
-                        flight.record(FlightSkeleton {
-                            req: i as u32,
-                            tenant: requests[i].tenant as u32,
-                            gpu: 0,
-                            batch: batch.len() as u32,
-                            arrival: requests[i].arrival,
-                            dispatch: now,
-                            settle: now,
-                            spdm: SimDuration::ZERO,
-                            doorbell: SimDuration::ZERO,
-                            cold: false,
-                            rejected: true,
-                        });
                     }
                     continue;
                 }
@@ -203,33 +212,13 @@ pub fn simulate(
             let done = now + service_time;
             busy += service_time;
             batches += 1;
-            gpu_depth[gpu].occupy_n(now, done, batch.len() as i64);
             for &i in &batch {
                 debug_assert!(!settled[i]);
                 settled[i] = true;
                 outcomes[i].dispatch = now;
                 outcomes[i].completion = done;
                 outcomes[i].batch = batch.len() as u32;
-                rollup.record(CompletionSample {
-                    req: i as u32,
-                    tenant: requests[i].tenant as u32,
-                    at: done,
-                    latency: done.saturating_since(requests[i].arrival),
-                    rejected: false,
-                });
-                flight.record(FlightSkeleton {
-                    req: i as u32,
-                    tenant: requests[i].tenant as u32,
-                    gpu: gpu as u32,
-                    batch: batch.len() as u32,
-                    arrival: requests[i].arrival,
-                    dispatch: now,
-                    settle: done,
-                    spdm: outcomes[i].spdm,
-                    doorbell: outcomes[i].admission - outcomes[i].spdm,
-                    cold: outcomes[i].cold,
-                    rejected: false,
-                });
+                outcomes[i].gpu = gpu as u32;
             }
             completions.push(std::cmp::Reverse((done, gpu)));
         }
@@ -254,7 +243,6 @@ pub fn simulate(
         }
         while next_arrival < requests.len() && requests[next_arrival].arrival == now {
             queue.push(next_arrival, &requests[next_arrival]);
-            queue_depth.add(now, 1);
             next_arrival += 1;
         }
     }
@@ -277,13 +265,58 @@ pub fn simulate(
         pool.leak_check().expect("session pool drained");
     }
 
+    // The planes are projections of the finished outcomes.
+    if rollup.is_enabled() || flight.is_enabled() {
+        for (i, (o, req)) in outcomes.iter().zip(requests).enumerate() {
+            rollup.record(o.sample(i, req));
+            flight.record(o.skeleton(i, req));
+        }
+    }
+
     let mut metrics = MetricsSet::new();
     metrics.push_counter("serving.requests", requests.len() as u64);
     metrics.push_counter("serving.batches", batches);
     metrics.push_counter("serving.cold_starts", cold_starts);
-    metrics.gauge("serving.queue_depth", &queue_depth);
-    for (g, gauge) in gpu_depth.iter().enumerate() {
-        metrics.gauge(&format!("serving.gpu{g}.depth"), gauge);
+    // The gauges are projections too, each staged as time-ordered steps
+    // in one reused buffer. Every request queues over [arrival,
+    // dispatch): arrivals come in time order, dispatches are sorted.
+    let mut steps: Vec<(SimTime, i64)> = Vec::new();
+    let waiting = || {
+        requests
+            .iter()
+            .zip(&outcomes)
+            .filter(|(req, o)| req.arrival < o.dispatch)
+    };
+    let mut dispatches: Vec<SimTime> = waiting().map(|(_, o)| o.dispatch).collect();
+    dispatches.sort_unstable();
+    let mut falls = dispatches.into_iter().peekable();
+    for (req, _) in waiting() {
+        while let Some(d) = falls.next_if(|&d| d <= req.arrival) {
+            steps.push((d, -1));
+        }
+        steps.push((req.arrival, 1));
+    }
+    steps.extend(falls.map(|d| (d, -1)));
+    metrics.push_series(Series::from_sorted_steps(
+        "serving.queue_depth",
+        steps.drain(..),
+    ));
+    // Every admitted request occupies its GPU over [dispatch,
+    // completion). A GPU runs one batch at a time, so a batch is exactly
+    // the requests sharing a dispatch there.
+    let mut spans: Vec<Vec<(SimTime, SimTime)>> = vec![Vec::new(); gpus];
+    for o in outcomes.iter().filter(|o| !o.rejected) {
+        spans[o.gpu as usize].push((o.dispatch, o.completion));
+    }
+    for (g, mut spans) in spans.into_iter().enumerate() {
+        spans.sort_unstable_by_key(|&(dispatch, _)| dispatch);
+        for batch in spans.chunk_by(|a, b| a.0 == b.0) {
+            let (from, to) = batch[0];
+            steps.push((from, batch.len() as i64));
+            steps.push((to, -(batch.len() as i64)));
+        }
+        let name = format!("serving.gpu{g}.depth");
+        metrics.push_series(Series::from_sorted_steps(&name, steps.drain(..)));
     }
 
     ClusterRun {
@@ -325,22 +358,35 @@ mod tests {
         vec![Ok(SimDuration::micros(us)); n]
     }
 
-    #[test]
-    fn single_gpu_fifo_is_work_conserving() {
+    /// Two default tenants on `gpus` devices, batches of up to 8.
+    fn run_on(
+        reqs: &[Request],
+        service: &[Result<SimDuration, String>],
+        cc: CcMode,
+        gpus: usize,
+        kind: SchedulerKind,
+    ) -> ClusterRun {
         let tenants = default_tenants(2);
-        let reqs = trace(&[(0, 0, 0), (0, 0, 0), (0, 1, 0)]);
-        let run = simulate(
-            &reqs,
-            &flat_service(3, 100),
+        let (mut rollup, mut flight) = (RollupCollector::new(), FlightRecorder::new());
+        simulate(
+            reqs,
+            service,
             &tenants,
-            CcMode::Off,
-            1,
-            SchedulerKind::Fifo,
+            cc,
+            gpus,
+            kind,
             8,
             &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
+            &mut rollup,
+            &mut flight,
+        )
+    }
+
+    #[test]
+    fn single_gpu_fifo_is_work_conserving() {
+        let reqs = trace(&[(0, 0, 0), (0, 0, 0), (0, 1, 0)]);
+        let svc = flat_service(3, 100);
+        let run = run_on(&reqs, &svc, CcMode::Off, 1, SchedulerKind::Fifo);
         // All three ran back to back on one device.
         assert_eq!(run.batches, 3);
         assert_eq!(run.busy, run.end.saturating_since(SimTime::ZERO));
@@ -359,22 +405,10 @@ mod tests {
 
     #[test]
     fn failing_shapes_are_rejected_exactly_once() {
-        let tenants = default_tenants(2);
         let reqs = trace(&[(0, 0, 0), (5, 0, 1), (5, 1, 0)]);
         let mut service = flat_service(3, 50);
         service[1] = Err("boom".to_string());
-        let run = simulate(
-            &reqs,
-            &service,
-            &tenants,
-            CcMode::On,
-            2,
-            SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
+        let run = run_on(&reqs, &service, CcMode::On, 2, SchedulerKind::Fifo);
         let rejected: Vec<bool> = run.outcomes.iter().map(|o| o.rejected).collect();
         assert_eq!(rejected, vec![false, true, false]);
         assert_eq!(run.outcomes[1].dispatch, run.outcomes[1].completion);
@@ -383,70 +417,26 @@ mod tests {
 
     #[test]
     fn cc_on_charges_cold_starts_per_tenant_per_device() {
-        let tenants = default_tenants(2);
         // Two tenants, one device each admission lands on (2 GPUs, 4 reqs
         // arriving far apart so each runs alone).
         let reqs = trace(&[(0, 0, 0), (100_000, 1, 0), (100_000, 0, 0), (100_000, 1, 0)]);
-        let run = simulate(
-            &reqs,
-            &flat_service(4, 50),
-            &tenants,
-            CcMode::On,
-            1,
-            SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
+        let svc = flat_service(4, 50);
+        let run = run_on(&reqs, &svc, CcMode::On, 1, SchedulerKind::Fifo);
         assert_eq!(run.cold_starts, 2, "one handshake per tenant on the device");
         assert!(run.outcomes[0].admission > run.outcomes[2].admission);
         assert!(run.td.hypercalls >= 2 * 16 + 4 * 2);
-        let off = simulate(
-            &reqs,
-            &flat_service(4, 50),
-            &tenants,
-            CcMode::Off,
-            1,
-            SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
+        let off = run_on(&reqs, &svc, CcMode::Off, 1, SchedulerKind::Fifo);
         assert_eq!(off.cold_starts, 0);
         assert!(off.busy < run.busy, "CC-on admission costs device time");
     }
 
     #[test]
     fn batching_amortizes_service() {
-        let tenants = default_tenants(2);
         // Four same-shape batchable chat requests arriving together.
         let reqs = trace(&[(0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0)]);
-        let fifo = simulate(
-            &reqs,
-            &flat_service(4, 1000),
-            &tenants,
-            CcMode::Off,
-            1,
-            SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
-        let cb = simulate(
-            &reqs,
-            &flat_service(4, 1000),
-            &tenants,
-            CcMode::Off,
-            1,
-            SchedulerKind::Batching,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
+        let svc = flat_service(4, 1000);
+        let fifo = run_on(&reqs, &svc, CcMode::Off, 1, SchedulerKind::Fifo);
+        let cb = run_on(&reqs, &svc, CcMode::Off, 1, SchedulerKind::Batching);
         assert_eq!(cb.batches, 1);
         assert_eq!(cb.outcomes[0].batch, 4);
         assert!(
@@ -459,20 +449,9 @@ mod tests {
 
     #[test]
     fn gauges_track_queue_and_device_occupancy() {
-        let tenants = default_tenants(2);
         let reqs = trace(&[(0, 0, 0), (0, 0, 2), (0, 1, 0)]);
-        let run = simulate(
-            &reqs,
-            &flat_service(3, 200),
-            &tenants,
-            CcMode::Off,
-            1,
-            SchedulerKind::Fifo,
-            8,
-            &TdxCalib::default(),
-            &mut RollupCollector::new(),
-            &mut FlightRecorder::new(),
-        );
+        let svc = flat_service(3, 200);
+        let run = run_on(&reqs, &svc, CcMode::Off, 1, SchedulerKind::Fifo);
         let depth = run.metrics.gauge_series("serving.queue_depth").unwrap();
         assert_eq!(depth.peak(), 2, "two requests queued behind the first");
         assert_eq!(depth.final_value(), 0);

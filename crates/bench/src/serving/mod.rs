@@ -19,6 +19,11 @@
 //! tractable: the engine's `scenarios_run` is exactly
 //! `2 × distinct_shapes` whatever the request count.
 //!
+//! Each (scheduler, mode) run is one [`crate::soak`] cell: the cluster
+//! loop writes only per-request outcomes, and the queue and device
+//! gauges, the watchtower's rollups and the flight recorder's exemplars
+//! are all derived from those outcomes after the loop.
+//!
 //! Everything is virtual-time deterministic: one seed fixes the arrival
 //! trace, the scheduler decisions, and every latency in the report, and
 //! the rendered text is byte-identical across `HCC_ENGINE_THREADS`.
@@ -30,10 +35,11 @@ pub mod scheduler;
 
 use hcc_runtime::SimConfig;
 use hcc_types::calib::TdxCalib;
-use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration};
+use hcc_types::{env_u64, CcMode, FaultPlan, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
-use crate::engine::{ExperimentEngine, ScenarioResult};
+use crate::engine::ExperimentEngine;
+use crate::soak::{ShapeTable, SoakCell, WatchPlane};
 
 pub use arrival::{ArrivalKind, ArrivalProcess, Request};
 pub use report::{ModeRun, SchedulerRun, ServingReport, TenantStats};
@@ -82,18 +88,17 @@ pub struct ServingConfig {
     /// TDX calibration for the per-device session pools.
     pub tdx: TdxCalib,
     /// SLO watchtower: when set, the CC-on run of every scheduler
-    /// records completion rollups and the report carries a windowed
-    /// burn-rate/incident timeline. `None` (the default) keeps the
-    /// rollup plane disabled and the rendered report byte-identical to
-    /// a watch-free build.
+    /// derives completion rollups from its outcomes and the report
+    /// carries a windowed burn-rate/incident timeline. `None` (the
+    /// default) keeps the rollup plane off and the rendered report
+    /// byte-identical to a watch-free build.
     pub watch: Option<crate::watch::WatchConfig>,
     /// Request flight recorder: when set, the CC-on run of every
     /// scheduler samples per-request span trees (tail exemplars plus a
     /// seeded uniform reservoir per tumbling window) and the report
-    /// carries the resolved [`hcc_trace::FlightLog`]. `None` (the
-    /// default) keeps the flight plane disabled — the cluster loop pays
-    /// one branch per settled request and the rendered report stays
-    /// byte-identical to a flight-free build.
+    /// carries the resolved [`hcc_trace::FlightLog`], both derived from
+    /// the run's outcomes. `None` (the default) keeps the flight plane
+    /// off; the rendered report is byte-identical either way.
     pub flight: Option<hcc_trace::FlightConfig>,
 }
 
@@ -143,17 +148,6 @@ impl ServingConfig {
     }
 }
 
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    parsed.ok()
-}
-
 /// The distinct apps a tenant population requests, in first-seen
 /// (tenant, class) order, and each class's index into them: the shape
 /// table both soaks key their per-app simulations by.
@@ -200,39 +194,11 @@ impl AppTable {
     }
 }
 
-/// A simulated shape's service time, or its failure.
-pub(crate) fn shape_service(entry: &ScenarioResult) -> Result<SimDuration, String> {
-    match entry.run() {
-        Ok(r) => Ok(SimDuration::from_nanos(r.end.as_nanos())),
-        Err(f) => Err(f.error),
-    }
-}
-
-/// A simulated shape's critical-path attribution (empty if it failed).
-pub(crate) fn shape_attr(entry: &ScenarioResult) -> hcc_trace::Attribution {
-    match entry.run() {
-        Ok(r) => hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-        Err(_) => hcc_trace::Attribution::default(),
-    }
-}
-
-/// A simulated shape's flight decomposition (empty if it failed).
-pub(crate) fn shape_decomp(entry: &ScenarioResult) -> hcc_trace::flight::ShapeDecomp {
-    match entry.run() {
-        Ok(r) => hcc_trace::flight::ShapeDecomp {
-            total: SimDuration::from_nanos(r.end.as_nanos()),
-            attr: hcc_trace::critpath::extract(&r.timeline, &r.causal).attribution(),
-            faults: r.fault,
-        },
-        Err(_) => hcc_trace::flight::ShapeDecomp::default(),
-    }
-}
-
 /// Runs the full serving experiment: generates the trace, simulates
 /// every distinct shape once per mode through the memoizing engine,
-/// resolves each request's service from that table by its app, and
-/// drains the identical trace through each configured scheduler CC-off
-/// and CC-on.
+/// and drains the identical trace through each configured scheduler
+/// CC-off and CC-on, one [`SoakCell`] each, every request riding its
+/// app's shape.
 pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     assert!(!cfg.tenants.is_empty(), "serving needs at least one tenant");
     assert!(
@@ -253,9 +219,15 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
     // Parallel fan-out: every distinct shape simulates once, up front.
     let prefetched = engine.run_all(&prefetch);
     let (off_entries, on_entries) = prefetched.split_at(apps.len());
-    // Per-mode service of every distinct app: `shapes[mode][app]`.
-    let shapes: [Vec<Result<SimDuration, String>>; 2] =
-        [off_entries, on_entries].map(|entries| entries.iter().map(|e| shape_service(e)).collect());
+    // Per-mode shape tables indexed by app: `shapes[mode]`. Only the
+    // CC-on run is observed, so only its shapes are decomposed, and only
+    // when a plane is on.
+    let mut shapes = [
+        ShapeTable::new(false),
+        ShapeTable::new(cfg.watch.is_some() || cfg.flight.is_some()),
+    ];
+    shapes[0].extend(off_entries);
+    shapes[1].extend(on_entries);
 
     // Offered load: size per-tenant rates off the CC-off mean service so
     // the baseline cluster sits near `target_util`.
@@ -268,7 +240,7 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
             let mut weighted_ns = 0.0f64;
             let mut weight = 0.0f64;
             for (ci, class) in tenant.mix.iter().enumerate() {
-                if let Ok(p) = &shapes[0][table.slot(ti, ci)] {
+                if let Ok(p) = &shapes[0].service[table.slot(ti, ci)] {
                     weighted_ns += p.as_nanos() as f64 * f64::from(class.weight);
                     weight += f64::from(class.weight);
                 }
@@ -284,105 +256,42 @@ pub fn run(cfg: &ServingConfig, engine: &ExperimentEngine) -> ServingReport {
         .collect();
 
     let requests = arrival::generate(&cfg.tenants, &rates, cfg.arrival, cfg.requests, cfg.seed);
-
-    // One request→shape index, shared by the per-mode service tables,
-    // the watchtower's blame view and the flight recorder.
     let shape_of = table.per_request(&requests);
-    let service: [Vec<Result<SimDuration, String>>; 2] = shapes.each_ref().map(|per_app| {
-        shape_of
-            .iter()
-            .map(|&s| per_app[s as usize].clone())
-            .collect()
-    });
-
-    // Watchtower inputs shared by every scheduler: tenant labels, the
-    // chaos lab's default budgets, and the CC-on shape attributions
-    // (each request blames its app's critical path).
-    let tenant_names: Vec<String> = cfg.tenants.iter().map(|t| t.name.to_string()).collect();
+    // The watchtower judges serving soaks against the chaos lab's
+    // default budgets.
     let budgets = crate::chaos::default_budgets(&cfg.tenants);
-    let attrs = cfg
-        .watch
-        .map(|_| on_entries.iter().map(|e| shape_attr(e)).collect::<Vec<_>>());
-
-    // Flight-recorder inputs: one full decomposition (service total,
-    // critical-path attribution, recovery counters) per distinct CC-on
-    // shape. Built once per soak, not per request.
-    let decomps = cfg.flight.map(|_| {
-        on_entries
-            .iter()
-            .map(|e| shape_decomp(e))
-            .collect::<Vec<_>>()
-    });
 
     let runs = cfg
         .schedulers
         .iter()
         .map(|&kind| {
-            let mut rollup = hcc_trace::RollupCollector::new();
-            let mut flight_rec = hcc_trace::FlightRecorder::new();
-            let modes = [CcMode::Off, CcMode::On].map(|cc| {
-                let mi = usize::from(cc.is_on());
-                let mut collector = if cc.is_on() && cfg.watch.is_some() {
-                    hcc_trace::RollupCollector::enabled()
-                } else {
-                    hcc_trace::RollupCollector::new()
-                };
-                // The flight plane rides the Planes mask: only the
-                // CC-on run of a flight-enabled soak records.
-                let planes = hcc_types::Planes::NONE.set(
-                    hcc_types::Planes::FLIGHT,
-                    cc.is_on() && cfg.flight.is_some(),
-                );
-                let mut flight =
-                    hcc_trace::FlightRecorder::for_planes(planes, cfg.flight.unwrap_or_default());
-                let raw = cluster::simulate(
-                    &requests,
-                    &service[mi],
-                    &cfg.tenants,
+            let [off, on] = [CcMode::Off, CcMode::On].map(|cc| {
+                let observed = cc.is_on();
+                SoakCell {
+                    requests: &requests,
+                    tenants: &cfg.tenants,
+                    shape_of: &shape_of,
+                    shapes: &shapes[usize::from(observed)],
                     cc,
-                    cfg.gpus,
-                    kind,
-                    cfg.max_batch,
-                    &cfg.tdx,
-                    &mut collector,
-                    &mut flight,
-                );
-                if cc.is_on() {
-                    rollup = collector;
-                    flight_rec = flight;
-                }
-                report::mode_run(cc, cfg.gpus, &cfg.tenants, &requests, &service[mi], raw)
-            });
-            let mut watch = cfg.watch.as_ref().map(|wcfg| {
-                let samples = std::mem::take(&mut rollup).into_sorted();
-                let on = &modes[1];
-                crate::watch::observe(
-                    wcfg,
-                    &crate::watch::SoakView {
-                        tenant_names: &tenant_names,
+                    gpus: cfg.gpus,
+                    scheduler: kind,
+                    max_batch: cfg.max_batch,
+                    tdx: &cfg.tdx,
+                    watch: cfg.watch.as_ref().filter(|_| observed).map(|w| WatchPlane {
+                        cfg: w,
                         budgets: &budgets,
-                        samples: &samples,
-                        horizon: on.end,
-                        queue: on.metrics.gauge_series("serving.queue_depth"),
+                        horizon: SimTime::ZERO,
                         storm: None,
-                        blame: attrs.as_ref().map(|attrs| crate::watch::BlameView {
-                            shape_of: &shape_of,
-                            attrs,
-                        }),
-                    },
-                )
+                    }),
+                    flight: cfg.flight.filter(|_| observed),
+                }
+                .run()
             });
-            let flight = decomps
-                .as_ref()
-                .map(|decomps| std::mem::take(&mut flight_rec).resolve(&shape_of, decomps));
-            if let (Some(w), Some(f)) = (watch.as_mut(), flight.as_ref()) {
-                w.link_exemplars(f);
-            }
             SchedulerRun {
                 scheduler: kind,
-                modes,
-                watch,
-                flight,
+                modes: [off.mode, on.mode],
+                watch: on.watch,
+                flight: on.flight,
             }
         })
         .collect();
@@ -468,16 +377,5 @@ mod tests {
             panic!("schedulers missing");
         };
         assert_eq!(scheds.len(), 3);
-    }
-
-    #[test]
-    fn env_overrides_parse_both_radices() {
-        assert_eq!(env_u64("HCC_NO_SUCH_VAR_EVER"), None);
-        std::env::set_var("HCC_SERVE_TEST_DEC", "123");
-        std::env::set_var("HCC_SERVE_TEST_HEX", "0xff");
-        assert_eq!(env_u64("HCC_SERVE_TEST_DEC"), Some(123));
-        assert_eq!(env_u64("HCC_SERVE_TEST_HEX"), Some(255));
-        std::env::remove_var("HCC_SERVE_TEST_DEC");
-        std::env::remove_var("HCC_SERVE_TEST_HEX");
     }
 }

@@ -26,7 +26,9 @@ use hcc_trace::critpath::{Attribution, ResourceClass};
 use hcc_trace::rollup;
 use hcc_trace::Series;
 use hcc_types::slo::burn_rate_milli;
-use hcc_types::{BurnPair, LatencyBudget, SimDuration, SimTime, StormIntensity, StormSchedule};
+use hcc_types::{
+    env_u64, BurnPair, LatencyBudget, SimDuration, SimTime, StormIntensity, StormSchedule,
+};
 
 pub use report::{Incident, IncidentBlame, IncidentStorm, TenantBurn, WatchReport, WindowRow};
 
@@ -102,17 +104,6 @@ impl WatchConfig {
             threshold_milli: self.threshold_milli,
         }
     }
-}
-
-fn env_u64(var: &str) -> Option<u64> {
-    let raw = std::env::var(var).ok()?;
-    let raw = raw.trim();
-    let parsed = if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16)
-    } else {
-        raw.parse()
-    };
-    parsed.ok()
 }
 
 /// The canonical stormy watch soak: a crypto-burst calendar over a

@@ -24,16 +24,17 @@
 //! at any `HCC_ENGINE_THREADS`.
 //!
 //! Determinism contract (shared with the metrics and rollup planes):
-//! virtual-time only, order-independent, and zero-cost when disabled —
-//! a disabled recorder's `record` is a single branch and never
-//! allocates. Enablement is gated through the existing
-//! [`Planes`] mask via [`FlightRecorder::for_planes`]
-//! ([`Planes::FLIGHT`]).
+//! virtual-time only, order-independent, and derived from outcomes —
+//! the serving cluster loop writes only its per-request outcomes, and
+//! skeletons are projected from them after the loop, only when the
+//! recorder is enabled, so a disabled plane costs nothing. Enablement
+//! is gated through the existing [`Planes`] mask via
+//! [`FlightRecorder::for_planes`] ([`Planes::FLIGHT`]).
 
 use std::collections::BTreeMap;
 
 use hcc_types::json::{Json, ToJson};
-use hcc_types::{FaultCounts, Planes, SimDuration, SimTime};
+use hcc_types::{env_u64, FaultCounts, Planes, SimDuration, SimTime};
 
 use crate::critpath::{Attribution, ResourceClass};
 
@@ -58,16 +59,6 @@ impl Default for FlightConfig {
             reservoir: 4,
             seed: 0xF11A_2026,
         }
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    let raw = std::env::var(name).ok()?;
-    let raw = raw.trim();
-    if let Some(hex) = raw.strip_prefix("0x") {
-        u64::from_str_radix(hex, 16).ok()
-    } else {
-        raw.parse().ok()
     }
 }
 
@@ -110,10 +101,10 @@ fn mix(seed: u64, window: u64, req: u32) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The compact per-request record the cluster loop emits while
-/// simulating — everything needed to rebuild the span tree later except
-/// the service-shape decomposition, which is resolved once per distinct
-/// shape (not per request) by [`FlightRecorder::resolve`].
+/// The compact per-request record projected from a settled request's
+/// cluster outcome — everything needed to rebuild the span tree later
+/// except the service-shape decomposition, which is resolved once per
+/// distinct shape (not per request) by [`FlightRecorder::resolve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightSkeleton {
     /// Index of the request in the driving soak's arrival order.
@@ -188,9 +179,9 @@ impl WindowSampler {
     }
 }
 
-/// Thread-invariant per-request recorder. Disabled by default; the
-/// cluster loop threads one through unconditionally and pays a single
-/// branch per settled request when the plane is off.
+/// Thread-invariant per-request recorder. Disabled by default; a soak
+/// fills an enabled one from its finished outcomes, never from inside
+/// the event loop.
 #[derive(Debug, Clone, Default)]
 pub struct FlightRecorder {
     enabled: bool,

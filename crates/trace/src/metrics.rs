@@ -161,9 +161,33 @@ impl Gauge {
     pub fn series(&self, name: &str) -> Series {
         let mut deltas = self.deltas.clone();
         deltas.sort_by_key(|(t, _)| *t);
-        let mut samples: Vec<(SimTime, i64)> = Vec::with_capacity(deltas.len());
+        Series::from_sorted_steps(name, deltas)
+    }
+}
+
+/// A materialized gauge series: strictly-increasing change-points of a
+/// step function starting at 0 before the first sample.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Series {
+    /// Metric name (dotted path, e.g. `gpu.ring.occupancy`).
+    pub name: String,
+    /// `(time, value-after-time)` change-points.
+    pub samples: Vec<(SimTime, i64)>,
+}
+
+impl Series {
+    /// The series of signed steps given in nondecreasing time order:
+    /// steps at one instant merge, and no-op change-points are dropped,
+    /// so the result is minimal.
+    pub fn from_sorted_steps(name: &str, steps: impl IntoIterator<Item = (SimTime, i64)>) -> Self {
+        let steps = steps.into_iter();
+        let mut samples: Vec<(SimTime, i64)> = Vec::with_capacity(steps.size_hint().0);
         let mut value = 0i64;
-        for (t, d) in deltas {
+        for (t, d) in steps {
+            debug_assert!(
+                samples.last().is_none_or(|&(last_t, _)| last_t <= t),
+                "{name}: steps out of time order"
+            );
             value += d;
             match samples.last_mut() {
                 Some((last_t, last_v)) if *last_t == t => *last_v = value,
@@ -185,19 +209,7 @@ impl Gauge {
             samples,
         }
     }
-}
 
-/// A materialized gauge series: strictly-increasing change-points of a
-/// step function starting at 0 before the first sample.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Series {
-    /// Metric name (dotted path, e.g. `gpu.ring.occupancy`).
-    pub name: String,
-    /// `(time, value-after-time)` change-points.
-    pub samples: Vec<(SimTime, i64)>,
-}
-
-impl Series {
     /// Highest value ever held (0 for an empty series).
     pub fn peak(&self) -> i64 {
         self.samples.iter().map(|&(_, v)| v).max().unwrap_or(0)

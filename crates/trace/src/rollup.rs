@@ -12,13 +12,14 @@
 //! - **Virtual-time only.** A [`CompletionSample`] carries the settle
 //!   instant on the sim clock; window boundaries are pure arithmetic on
 //!   it. No wall-clock read anywhere.
-//! - **Order-independence.** Samples may be recorded in any order (the
-//!   serving loop settles completions as it dispatches, not as they
-//!   finish); [`RollupCollector::into_sorted`] canonicalizes by
+//! - **Order-independence.** Samples may be recorded in any order (a
+//!   soak projects them from its outcomes in request order, not settle
+//!   order); [`RollupCollector::into_sorted`] canonicalizes by
 //!   `(at, req)` so every rollup depends only on the *set* of samples.
-//! - **Zero-cost when disabled.** A disabled collector's `record` is a
-//!   single branch and never allocates, so runs with the plane off are
-//!   byte-identical to runs before the plane existed.
+//! - **Derived from outcomes.** The serving cluster loop writes only its
+//!   per-request outcomes; samples are projected from them after the
+//!   loop, only when the collector is enabled, so runs with the plane
+//!   off pay nothing and are byte-identical to runs before it existed.
 
 use hcc_types::{SimDuration, SimTime};
 
@@ -39,8 +40,7 @@ pub struct CompletionSample {
 }
 
 /// Append-only recorder for [`CompletionSample`]s. Disabled by default;
-/// the serving loop threads one through unconditionally and pays a
-/// single branch per settled request when the plane is off.
+/// a soak fills an enabled one from its finished outcomes.
 #[derive(Debug, Clone, Default)]
 pub struct RollupCollector {
     enabled: bool,

@@ -65,3 +65,39 @@ impl std::fmt::Display for TypeError {
 }
 
 impl std::error::Error for TypeError {}
+
+/// Parses a decimal or `0x`-prefixed hexadecimal `u64`, ignoring
+/// surrounding whitespace: the one integer syntax every harness flag and
+/// `HCC_*` environment override accepts.
+pub fn parse_u64(raw: &str) -> Option<u64> {
+    let raw = raw.trim();
+    match raw.strip_prefix("0x") {
+        Some(hex) => u64::from_str_radix(hex, 16).ok(),
+        None => raw.parse().ok(),
+    }
+}
+
+/// Reads the environment variable `var` as a [`parse_u64`] integer;
+/// unset or unparsable yields `None`.
+pub fn env_u64(var: &str) -> Option<u64> {
+    parse_u64(&std::env::var(var).ok()?)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn env_overrides_parse_both_radices() {
+        assert_eq!(env_u64("HCC_NO_SUCH_VAR_EVER"), None);
+        std::env::set_var("HCC_TYPES_TEST_DEC", " 123 ");
+        std::env::set_var("HCC_TYPES_TEST_HEX", "0xff");
+        std::env::set_var("HCC_TYPES_TEST_BAD", "12ab");
+        assert_eq!(env_u64("HCC_TYPES_TEST_DEC"), Some(123));
+        assert_eq!(env_u64("HCC_TYPES_TEST_HEX"), Some(255));
+        assert_eq!(env_u64("HCC_TYPES_TEST_BAD"), None);
+        std::env::remove_var("HCC_TYPES_TEST_DEC");
+        std::env::remove_var("HCC_TYPES_TEST_HEX");
+        std::env::remove_var("HCC_TYPES_TEST_BAD");
+    }
+}

@@ -212,6 +212,19 @@ fi
 
 echo "tier-2: OK (serving: $rps req/s wall-clock, $simulated shapes simulated for 2 x $distinct distinct)"
 
+# Tier-2 usage smoke: an out-of-range flag is refused with a one-line
+# diagnostic and exit code 2, never silently clamped into range.
+echo "==> tier-2: out-of-range flags give a usage error"
+status=0
+./target/release/serve --gpus 0 >/dev/null 2>"$t2_dir/usage.err" || status=$?
+if [ "$status" -ne 2 ] \
+    || ! grep -q "^serve: --gpus: 0 out of range \[1, 1024\]$" "$t2_dir/usage.err"; then
+    echo "tier-2: FAIL — serve --gpus 0 exited $status, expected a usage error (exit 2)" >&2
+    exit 1
+fi
+
+echo "tier-2: OK (serve --gpus 0 refused with exit 2)"
+
 # Tier-2 hot-path wall-clock gate: full-suite scenarios/sec must stay
 # within the 30% regression budget of the committed BENCH_hotpaths.json
 # baseline. The binary exits nonzero on a breach; after an intentional
@@ -367,3 +380,13 @@ if [ -z "$wall_on" ] || [ -z "$wall_off" ]; then
 fi
 
 echo "tier-2: OK (flight: exemplar #$why_req resolved, store $store_bytes bytes, ${wall_on}ms on vs ${wall_off}ms off)"
+
+# Tier-2 benchmark build: hccperf (BENCHMARK.json) drives the library
+# from outside through its public API — cluster::simulate,
+# report::mode_run, arrival::generate, the watch and flight entry points
+# and the report fields — so an API break fails here, not in the
+# benchmark pipeline.
+echo "==> tier-2: benchmark harness builds"
+run cargo build --release --offline --manifest-path hccperf/Cargo.toml
+
+echo "tier-2: OK (hccperf builds)"

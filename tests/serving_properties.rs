@@ -5,13 +5,18 @@
 //! bit-for-bit (`HCC_CHECK_SEED=<seed>` overrides).
 
 use hcc_bench::engine::ExperimentEngine;
-use hcc_bench::serving::{self, arrival, ArrivalKind, SchedulerKind, ServingConfig};
+use hcc_bench::serving::{self, arrival, cluster, AppTable};
+use hcc_bench::serving::{ArrivalKind, SchedulerKind, ServingConfig};
+use hcc_bench::soak::ShapeTable;
 use hcc_check::strategy::{f64s, u64s};
 use hcc_check::{ensure, ensure_eq, forall, Config};
+use hcc_runtime::SimConfig;
+use hcc_trace::{FlightRecorder, RollupCollector};
+use hcc_types::calib::TdxCalib;
 use hcc_types::json::ToJson;
 use hcc_types::rng::Xoshiro256;
-use hcc_types::{FaultPlan, RecoveryPolicy, SimTime};
-use hcc_workloads::default_tenants;
+use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimDuration, SimTime};
+use hcc_workloads::{default_tenants, Scenario};
 
 /// Replaying a seed reproduces the arrival trace bit for bit — every
 /// seq rank, tenant, class pick, and nanosecond — for every process
@@ -103,6 +108,133 @@ fn conservation_survives_fault_driven_rejections() {
                     ensure_eq!(mode.completed() + mode.rejected(), 160);
                 }
             }
+        }
+    );
+}
+
+/// Every outcome names the GPU its batch ran on, which makes placement
+/// and the derived gauges checkable: admitted requests land on a real
+/// GPU, a GPU never runs two batches at once, the queue drains and
+/// integrates to exactly the summed waits, and the per-GPU depths
+/// integrate to exactly the summed services. This holds under every
+/// scheduler, at any load, with abort plans rejecting whole shapes.
+#[test]
+fn outcomes_place_batches_and_gauges_integrate_exactly() {
+    let engine = ExperimentEngine::new(2);
+    forall!(
+        Config::new(0x5E21_0004).with_cases(12),
+        ((n, gpus, tenant_count), (kind_pick, max_batch, util), (plan_seed, abort_mask)) in (
+            (u64s(1..600), u64s(1..5), u64s(1..5)),
+            (u64s(0..3), u64s(1..9), f64s(0.2..1.5)),
+            (u64s(0..u64::MAX), u64s(0..1 << 10))
+        ) => {
+            let tenants = default_tenants(tenant_count as usize);
+            let kind = SchedulerKind::ALL[kind_pick as usize];
+            let table = AppTable::new(&tenants);
+            // App `i` runs under a dense abort plan when bit `i` of
+            // `abort_mask` is set, so every one of its requests rejects.
+            let scenarios: Vec<Scenario> = table
+                .apps
+                .iter()
+                .enumerate()
+                .map(|(i, &app)| {
+                    let mut cfg = SimConfig::new(CcMode::On);
+                    if abort_mask >> i & 1 == 1 {
+                        cfg = cfg
+                            .with_fault_plan(FaultPlan::uniform(plan_seed, 0.5))
+                            .with_recovery(RecoveryPolicy::Abort);
+                    }
+                    Scenario::standard(app, cfg)
+                })
+                .collect();
+            let mut shapes = ShapeTable::new(false);
+            shapes.extend(&engine.run_all(&scenarios));
+
+            // Offered load `util` of the cluster, against the mean
+            // surviving shape (1 ms when every shape aborts).
+            let ok: Vec<u64> = shapes.service.iter().flatten().map(|d| d.as_nanos()).collect();
+            let mean_s = if ok.is_empty() {
+                1e-3
+            } else {
+                ok.iter().sum::<u64>() as f64 / ok.len() as f64 / 1e9
+            };
+            let rate_per_tenant = util * gpus as f64 / mean_s / tenants.len() as f64;
+            let requests = arrival::generate(
+                &tenants,
+                &vec![rate_per_tenant; tenants.len()],
+                ArrivalKind::Bursty,
+                n,
+                plan_seed,
+            );
+            let service: Vec<Result<SimDuration, String>> = table
+                .per_request(&requests)
+                .iter()
+                .map(|&s| shapes.service[s as usize].clone())
+                .collect();
+            let run = cluster::simulate(
+                &requests,
+                &service,
+                &tenants,
+                CcMode::On,
+                gpus as usize,
+                kind,
+                max_batch as usize,
+                &TdxCalib::default(),
+                &mut RollupCollector::new(),
+                &mut FlightRecorder::new(),
+            );
+
+            let mut waits = SimDuration::ZERO;
+            let mut services = SimDuration::ZERO;
+            let mut spans = Vec::new();
+            for (req, o) in requests.iter().zip(&run.outcomes) {
+                waits += o.dispatch.saturating_since(req.arrival);
+                if o.rejected {
+                    continue;
+                }
+                ensure!(u64::from(o.gpu) < gpus, "{kind}: gpu {} of {gpus}", o.gpu);
+                services += o.completion.saturating_since(o.dispatch);
+                spans.push((o.gpu, o.dispatch, o.completion, o.batch));
+            }
+            // A batch is the requests sharing a (gpu, dispatch): they
+            // share a completion, and there are exactly `batch` of them.
+            spans.sort_unstable();
+            for batch in spans.chunk_by(|a, b| (a.0, a.1) == (b.0, b.1)) {
+                let (gpu, dispatch, completion, size) = batch[0];
+                ensure!(
+                    batch.iter().all(|s| s.2 == completion && s.3 as usize == batch.len()),
+                    "{kind}: gpu {gpu} batch at {dispatch} has {} members, sizes {size}",
+                    batch.len()
+                );
+            }
+            for w in spans.windows(2) {
+                if w[0].0 == w[1].0 && w[0].1 != w[1].1 {
+                    ensure!(
+                        w[1].1 >= w[0].2,
+                        "{kind}: gpu {} starts a batch at {} before {} ends",
+                        w[0].0,
+                        w[1].1,
+                        w[0].2
+                    );
+                }
+            }
+
+            let queue = run
+                .metrics
+                .gauge_series("serving.queue_depth")
+                .expect("queue gauge");
+            ensure_eq!(queue.final_value(), 0);
+            ensure_eq!(queue.integral(), waits);
+            let mut depth = SimDuration::ZERO;
+            for g in 0..gpus {
+                let series = run
+                    .metrics
+                    .gauge_series(&format!("serving.gpu{g}.depth"))
+                    .expect("gpu gauge");
+                ensure_eq!(series.final_value(), 0);
+                depth += series.integral();
+            }
+            ensure_eq!(depth, services);
         }
     );
 }
