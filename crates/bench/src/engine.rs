@@ -162,6 +162,14 @@ impl EngineStats {
         self.sim_wall.as_secs_f64() / elapsed
     }
 
+    /// Engine wall clock not spent simulating: `elapsed` less the
+    /// serial-equivalent sim time spread over the pool. This is what the
+    /// engine itself costs — memo keys, cache service, bookkeeping.
+    pub fn outside_sim(&self) -> Duration {
+        let threads = u32::try_from(self.threads.max(1)).unwrap_or(u32::MAX);
+        self.elapsed.saturating_sub(self.sim_wall / threads)
+    }
+
     /// Multi-line stats block for reports. Wall-clock figures, so this is
     /// printed to stderr by the harnesses — stdout stays byte-identical
     /// across thread counts.
@@ -179,6 +187,11 @@ impl EngineStats {
             "engine wall clock:     {:.3} s (x{:.2} vs serial baseline)\n",
             self.elapsed.as_secs_f64(),
             self.speedup()
+        ));
+        out.push_str(&format!(
+            "outside simulation:    {:.3} s (cache service {:.3} s)\n",
+            self.outside_sim().as_secs_f64(),
+            self.cache_service.as_secs_f64()
         ));
         out.push_str(&format!(
             "worker utilization:    {:.0}%\n",
@@ -679,6 +692,29 @@ mod tests {
         let block = engine.stats().render();
         assert!(block.contains("cache hits: 1"));
         assert!(block.contains("worker threads:        2"));
+    }
+
+    #[test]
+    fn stats_render_names_the_engine_overhead() {
+        let stats = EngineStats {
+            threads: 2,
+            sim_wall: Duration::from_millis(300),
+            elapsed: Duration::from_millis(400),
+            cache_service: Duration::from_millis(20),
+            ..EngineStats::default()
+        };
+        assert_eq!(stats.outside_sim(), Duration::from_millis(250));
+        assert!(stats
+            .render()
+            .contains("outside simulation:    0.250 s (cache service 0.020 s)\n"));
+        // A pool that overlapped more than it waited never goes negative.
+        let busy = EngineStats {
+            threads: 1,
+            sim_wall: Duration::from_millis(500),
+            elapsed: Duration::from_millis(400),
+            ..EngineStats::default()
+        };
+        assert_eq!(busy.outside_sim(), Duration::ZERO);
     }
 
     #[test]

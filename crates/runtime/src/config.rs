@@ -1,5 +1,7 @@
 //! Simulation configuration for a [`crate::CudaContext`].
 
+use std::sync::OnceLock;
+
 use hcc_types::calib::Calibration;
 use hcc_types::{ByteSize, CcMode, CpuModel, FaultPlan, Planes, RecoveryPolicy};
 
@@ -20,8 +22,13 @@ use hcc_types::{ByteSize, CcMode, CpuModel, FaultPlan, Planes, RecoveryPolicy};
 pub struct SimConfig {
     /// Confidential-computing mode.
     pub cc: CcMode,
-    /// Calibration tables (defaults to the paper's).
-    pub calib: Calibration,
+    /// Calibration tables (defaults to the paper's). Read-only through
+    /// [`SimConfig::calib`] so `calib_fp` can never go stale.
+    calib: Calibration,
+    /// `calib.fingerprint()`, taken once when the calibration entered
+    /// this config: rendering the bundle costs far more than a simulation
+    /// request's other hashing, and `content_hash` runs on every request.
+    calib_fp: u64,
     /// RNG seed; identical seeds reproduce identical traces.
     pub seed: u64,
     /// CPU whose software-crypto rates apply (Table I: Emerald Rapids).
@@ -56,6 +63,7 @@ impl SimConfig {
         SimConfig {
             cc,
             calib: Calibration::paper(),
+            calib_fp: paper_fingerprint(),
             seed: 0x5EED_CAFE,
             cpu: CpuModel::EmeraldRapids,
             crypto_workers: 1,
@@ -117,8 +125,15 @@ impl SimConfig {
     /// Replaces the calibration bundle.
     #[must_use]
     pub fn with_calib(mut self, calib: Calibration) -> Self {
+        self.calib_fp = calib.fingerprint();
         self.calib = calib;
         self
+    }
+
+    /// The calibration tables this configuration simulates with.
+    #[must_use]
+    pub fn calib(&self) -> &Calibration {
+        &self.calib
     }
 
     /// Sets the RNG seed.
@@ -172,7 +187,7 @@ impl SimConfig {
         h.write_u32(self.crypto_workers);
         h.write_u64(self.hbm.as_u64());
         h.write_bool(self.attest_at_creation);
-        h.write_u64(self.calib.fingerprint());
+        h.write_u64(self.calib_fp);
         h.write_u64(self.fault.fingerprint());
         h.write_u64(self.recovery.fingerprint());
         // The metrics plane cannot change the simulated trace, but it does
@@ -187,6 +202,12 @@ impl SimConfig {
         h.write_bool(self.causal_enabled());
         h.finish()
     }
+}
+
+/// The paper calibration's fingerprint, computed once per process.
+fn paper_fingerprint() -> u64 {
+    static FP: OnceLock<u64> = OnceLock::new();
+    *FP.get_or_init(|| Calibration::paper().fingerprint())
 }
 
 impl Default for SimConfig {
@@ -257,6 +278,30 @@ mod tests {
             .with_fault_plan(FaultPlan::none())
             .with_recovery(RecoveryPolicy::default_retry());
         assert_eq!(base.content_hash(), explicit.content_hash());
+    }
+
+    /// The memo key of `SimConfig::new(CcMode::On).with_seed(7)`. Every
+    /// experiment cache and output digest is keyed through this hash, so
+    /// it may change only on purpose.
+    const PINNED_ON_SEED7: u64 = 0xEFB9_E694_954E_A51D;
+
+    #[test]
+    fn memo_key_is_pinned_and_tracks_the_calibration() {
+        let base = SimConfig::new(CcMode::On).with_seed(7);
+        assert_eq!(base.content_hash(), PINNED_ON_SEED7);
+
+        for cc in [CcMode::Off, CcMode::On] {
+            let explicit = SimConfig::new(cc).with_calib(Calibration::paper());
+            assert_eq!(explicit.content_hash(), SimConfig::new(cc).content_hash());
+        }
+
+        let mut tweaked = Calibration::paper();
+        tweaked.pcie.bounce_chunk = ByteSize::mib(8);
+        let recal = base.clone().with_calib(tweaked);
+        assert_ne!(recal.content_hash(), base.content_hash());
+        // Back to the paper's bundle: the cached fingerprint follows.
+        let restored = recal.with_calib(Calibration::paper());
+        assert_eq!(restored.content_hash(), base.content_hash());
     }
 
     #[test]

@@ -236,10 +236,10 @@ impl SeenKernels {
 impl CudaContext {
     /// Creates a context (binds the GPU in the configured mode).
     pub fn new(cfg: SimConfig) -> Self {
-        let mut gpu = GpuDevice::new(&cfg.calib.gpu, cfg.cc, cfg.hbm);
-        let td = TdContext::new(cfg.cc, cfg.calib.tdx.clone());
-        let mut bounce = BounceBufferPool::new(cfg.calib.tdx.bounce_pool);
-        let mut uvm = UvmDriver::new(cfg.calib.uvm.clone(), cfg.cc);
+        let mut gpu = GpuDevice::new(&cfg.calib().gpu, cfg.cc, cfg.hbm);
+        let td = TdContext::new(cfg.cc, cfg.calib().tdx.clone());
+        let mut bounce = BounceBufferPool::new(cfg.calib().tdx.bounce_pool);
+        let mut uvm = UvmDriver::new(cfg.calib().uvm.clone(), cfg.cc);
         let mut crypto_engine = Resource::new("cpu-crypto");
         let enabled = cfg.planes.set(Planes::FAULT, !cfg.fault.is_empty());
         if enabled.contains(Planes::METRICS) {
@@ -567,7 +567,7 @@ impl CudaContext {
     // ------------------------------------------------------------------
 
     fn management_cost(&mut self, base: SimDuration, cc_mult: f64) -> SimDuration {
-        let a = &self.cfg.calib.alloc;
+        let a = &self.cfg.calib().alloc;
         let jitter = self.rng.jitter(a.jitter_frac);
         let cost = base.scale(jitter);
         match self.cfg.cc {
@@ -585,7 +585,7 @@ impl CudaContext {
     /// # Errors
     /// Returns [`RuntimeError::DeviceMem`] when HBM capacity is exceeded.
     pub fn malloc_device(&mut self, size: ByteSize) -> Result<DevicePtr> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let base = Self::size_scaled(a.dmalloc_base, a.dmalloc_per_gib, size);
         let cost = self.management_cost(base, a.cc_dmalloc_mult);
         let start = self.clock;
@@ -612,7 +612,7 @@ impl CudaContext {
     /// # Errors
     /// Currently infallible but returns `Result` for API stability.
     pub fn malloc_host(&mut self, size: ByteSize, kind: HostMemKind) -> Result<HostPtr> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let ptr = HostPtr(self.next_host);
         self.next_host += size.align_up(ByteSize::bytes(4096)).as_u64().max(4096);
         self.host_allocs.insert(ptr, HostAlloc { size, kind });
@@ -645,7 +645,7 @@ impl CudaContext {
     /// # Errors
     /// Currently infallible but returns `Result` for API stability.
     pub fn malloc_managed(&mut self, size: ByteSize) -> Result<ManagedPtr> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let base = Self::size_scaled(a.dmalloc_base, a.dmalloc_per_gib, size)
             .scale(a.managed_alloc_factor);
         let cost = self.management_cost(base, a.cc_managed_alloc_mult);
@@ -656,7 +656,7 @@ impl CudaContext {
         self.managed_allocs.push(Some(size));
         self.gpu
             .gmmu_mut()
-            .register(ManagedId(ptr.0), size, self.cfg.calib.uvm.page);
+            .register(ManagedId(ptr.0), size, self.cfg.calib().uvm.page);
         self.record(
             EventKind::Alloc {
                 space: MemSpace::Managed,
@@ -673,7 +673,7 @@ impl CudaContext {
     /// # Errors
     /// Returns [`RuntimeError::DeviceMem`] for unknown pointers.
     pub fn free_device(&mut self, ptr: DevicePtr) -> Result<()> {
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let cost = self.management_cost(a.free_base, a.cc_free_mult);
         let start = self.clock;
         self.advance(cost);
@@ -702,7 +702,7 @@ impl CudaContext {
         match alloc.kind {
             HostMemKind::Pageable => self.advance(SimDuration::from_nanos(600)),
             HostMemKind::Pinned => {
-                let a = self.cfg.calib.alloc.clone();
+                let a = self.cfg.calib().alloc.clone();
                 let cost = self.management_cost(a.free_base, a.cc_free_mult);
                 let start = self.clock;
                 self.advance(cost);
@@ -729,7 +729,7 @@ impl CudaContext {
             .get_mut((ptr.0 as usize).wrapping_sub(1))
             .and_then(Option::take)
             .ok_or(RuntimeError::UnknownManagedPtr(ptr))?;
-        let a = self.cfg.calib.alloc.clone();
+        let a = self.cfg.calib().alloc.clone();
         let base = a.free_base.scale(a.managed_free_factor);
         let cost = self.management_cost(base, a.cc_managed_free_mult);
         let start = self.clock;
@@ -776,7 +776,7 @@ impl CudaContext {
     /// Effective end-to-end rate of the CC transfer pipeline with the
     /// configured crypto workers (the Sec. VI-A composition).
     pub fn cc_pipeline_rate(&self) -> Bandwidth {
-        let p = &self.cfg.calib.pcie;
+        let p = &self.cfg.calib().pcie;
         let crypto_rate = {
             // Effective per-byte crypto rate with the configured workers.
             let one_gib = ByteSize::gib(1);
@@ -801,7 +801,7 @@ impl CudaContext {
         dir: CopyKind,
         first_map: bool,
     ) -> CopyPlan {
-        let p = self.cfg.calib.pcie.clone();
+        let p = self.cfg.calib().pcie.clone();
         match (self.cfg.cc, dir) {
             (_, CopyKind::D2D) => CopyPlan {
                 pre: SimDuration::from_micros_f64(3.0),
@@ -919,7 +919,7 @@ impl CudaContext {
         let deg_start = self.clock;
         let extra = self
             .cfg
-            .calib
+            .calib()
             .pcie
             .cc_transfer_setup
             .scale(factor.saturating_sub(1) as f64);
@@ -958,7 +958,12 @@ impl CudaContext {
         }
         // Bounce staging reservation (chunked; costs mostly on cold pool).
         if self.cfg.cc.is_on() && plan.label != CopyKind::D2D || plan.managed {
-            let chunk = self.cfg.calib.pcie.bounce_chunk.min(self.bounce.capacity());
+            let chunk = self
+                .cfg
+                .calib()
+                .pcie
+                .bounce_chunk
+                .min(self.bounce.capacity());
             let stage = bytes.min(chunk);
             if !stage.is_zero() {
                 let (r, rec) =
@@ -1024,12 +1029,12 @@ impl CudaContext {
                 match self.faults.recover(site) {
                     Recovery::Clean => {}
                     Recovery::Retried { backoffs } => {
-                        let chunk = bytes.min(self.cfg.calib.pcie.bounce_chunk);
+                        let chunk = bytes.min(self.cfg.calib().pcie.bounce_chunk);
                         let rework = self.crypto.time_for_parallel(
                             CryptoAlgorithm::AesGcm128,
                             chunk,
                             self.cfg.crypto_workers,
-                        ) + self.cfg.calib.pcie.bounce_copy.time_for(chunk);
+                        ) + self.cfg.calib().pcie.bounce_copy.time_for(chunk);
                         recovery_tails.push(self.charge_retries(site, &backoffs, rework));
                         gcm_recovery = Recovery::Retried { backoffs };
                     }
@@ -1329,7 +1334,7 @@ impl CudaContext {
         // --- Host work between launches (measured as LQT) and the
         // driver-side KLO shape: one fused pair of lognormal draws
         // (bit-identical to two sequential draws). ---
-        let lc = self.cfg.calib.launch.clone();
+        let lc = self.cfg.calib().launch.clone();
         let (gap_factor, klo_factor) = self.rng.lognormal_pair(lc.gap_sigma, lc.klo_sigma);
         let mut gap = lc.inter_launch_gap.scale(gap_factor);
         if self.cfg.cc.is_on() {
@@ -1378,9 +1383,9 @@ impl CudaContext {
         // --- Managed-access fault servicing (UVM kernels). ---
         let mut ket = desc
             .ket
-            .scale(self.rng.jitter(self.cfg.calib.gpu.ket_jitter));
+            .scale(self.rng.jitter(self.cfg.calib().gpu.ket_jitter));
         if self.cfg.cc.is_on() {
-            ket = ket.scale(self.cfg.calib.gpu.cc_ket_factor);
+            ket = ket.scale(self.cfg.calib().gpu.cc_ket_factor);
         }
         let mut fault_time = SimDuration::ZERO;
         let mut fault_pages = 0u64;
@@ -1392,7 +1397,7 @@ impl CudaContext {
         for access in &desc.managed {
             let size = self.managed_size(access.ptr)?;
             let id = ManagedId(access.ptr.0);
-            let total_pages = size.pages(self.cfg.calib.uvm.page);
+            let total_pages = size.pages(self.cfg.calib().uvm.page);
             let first_page = access.first_page.min(total_pages);
             let count = if access.pages == u64::MAX {
                 total_pages - first_page
@@ -1417,7 +1422,7 @@ impl CudaContext {
                 uvm_penalties.push(
                     backoffs
                         .iter()
-                        .map(|b| *b + self.cfg.calib.uvm.fault_latency)
+                        .map(|b| *b + self.cfg.calib().uvm.fault_latency)
                         .collect(),
                 );
             }

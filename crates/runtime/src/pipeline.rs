@@ -54,7 +54,7 @@ impl CudaContext {
         }
         self.check_copy_public(bytes, src, dst)?;
         let start = self.now();
-        let p = self.config().calib.pcie.clone();
+        let p = self.config().calib().pcie.clone();
         let workers = self.config().crypto_workers;
 
         // Per-chunk stage times.

@@ -9,6 +9,11 @@
 //! they precede, with the causal edges confirming the handoff. Every
 //! critical nanosecond lands in exactly one [`ResourceClass`], so the
 //! identity `Σ segments == observed span P` holds by construction.
+//!
+//! [`extract`] is one forward sweep over the sorted span boundaries with
+//! a lazy max-heap of active spans; causal links are counted from one
+//! sorted `(to, from)` edge index. Over `E` events and edges together it
+//! costs O(E log E), causal links included.
 
 use std::collections::BinaryHeap;
 
@@ -16,7 +21,7 @@ use hcc_types::json::{Json, ToJson};
 use hcc_types::{FaultSite, SimDuration, SimTime};
 
 use crate::causal::{CausalGraph, EventId};
-use crate::event::EventKind;
+use crate::event::{EventKind, TraceEvent};
 use crate::timeline::Timeline;
 
 /// The hardware/software resource a critical nanosecond is blamed on.
@@ -287,15 +292,9 @@ impl CritPath {
 /// typed handoffs between path events.
 pub fn extract(timeline: &Timeline, graph: &CausalGraph) -> CritPath {
     let events = timeline.events();
-    let first = events.iter().map(|e| e.start).min();
-    let last = events.iter().map(|e| e.end).max();
-    let (Some(first), Some(last)) = (first, last) else {
-        return CritPath {
-            segments: Vec::new(),
-            first: SimTime::ZERO,
-            last: SimTime::ZERO,
-            causal_links: 0,
-        };
+    let (first, last) = match timeline.start() {
+        Some(first) => (first, timeline.end()),
+        None => (SimTime::ZERO, SimTime::ZERO),
     };
     if first == last {
         return CritPath {
@@ -308,104 +307,110 @@ pub fn extract(timeline: &Timeline, graph: &CausalGraph) -> CritPath {
 
     // Positive-width events in start order; zero-width markers never
     // occupy time.
-    let mut order: Vec<usize> = (0..events.len())
-        .filter(|&i| events[i].end > events[i].start)
+    let mut order: Vec<(SimTime, usize)> = events
+        .iter()
+        .enumerate()
+        .filter(|(_, e)| e.end > e.start)
+        .map(|(i, e)| (e.start, i))
         .collect();
-    order.sort_by_key(|&i| events[i].start);
+    order.sort_unstable();
+    let mut ends: Vec<SimTime> = order.iter().map(|&(_, i)| events[i].end).collect();
+    ends.sort_unstable();
 
-    // Elementary intervals between consecutive span boundaries.
+    // Elementary intervals between consecutive span boundaries: the sorted
+    // starts merged with the sorted ends, all inside `[first, last]`.
     let mut bounds: Vec<SimTime> = Vec::with_capacity(order.len() * 2 + 2);
     bounds.push(first);
-    bounds.push(last);
-    for &i in &order {
-        bounds.push(events[i].start);
-        bounds.push(events[i].end);
+    let (mut s, mut e) = (0usize, 0usize);
+    while s < order.len() || e < ends.len() {
+        let t = if e == ends.len() || (s < order.len() && order[s].0 <= ends[e]) {
+            s += 1;
+            order[s - 1].0
+        } else {
+            e += 1;
+            ends[e - 1]
+        };
+        if bounds.last() != Some(&t) {
+            bounds.push(t);
+        }
     }
-    bounds.sort_unstable();
-    bounds.dedup();
+    if bounds.last() != Some(&last) {
+        bounds.push(last);
+    }
 
     // Backward-walk equivalent, computed as a sweep: at each elementary
     // interval the innermost active event (max priority, then latest
     // start, then latest push) owns the critical time. A lazy max-heap
-    // keeps the sweep O(E log E).
+    // keeps the sweep O(E log E). An uncovered interval is charged by the
+    // event it precedes — the next covered interval's owner — so it waits
+    // in `gaps` until that owner is known; a trailing gap has none.
     let mut heap: BinaryHeap<(u8, SimTime, usize)> = BinaryHeap::new();
     let mut next = 0usize;
-    let mut raw: Vec<(SimTime, SimTime, Option<usize>)> = Vec::with_capacity(bounds.len());
+    let mut gaps: Vec<(SimTime, SimTime)> = Vec::new();
+    let mut segments: Vec<Segment> = Vec::new();
     for w in bounds.windows(2) {
         let (a, b) = (w[0], w[1]);
-        while next < order.len() && events[order[next]].start <= a {
-            let i = order[next];
+        while next < order.len() && order[next].0 <= a {
+            let i = order[next].1;
             heap.push((priority(&events[i].kind), events[i].start, i));
             next += 1;
         }
-        while let Some(&(_, _, i)) = heap.peek() {
-            if events[i].end <= a {
-                heap.pop();
-            } else {
-                break;
-            }
+        while heap.peek().is_some_and(|&(_, _, i)| events[i].end <= a) {
+            heap.pop();
         }
-        raw.push((a, b, heap.peek().map(|&(_, _, i)| i)));
+        let Some(&(_, _, i)) = heap.peek() else {
+            gaps.push((a, b));
+            continue;
+        };
+        for (ga, gb) in gaps.drain(..) {
+            attribute_gap(events, ga, gb, Some(i), &mut segments);
+        }
+        push_merged(
+            &mut segments,
+            Segment {
+                start: a,
+                end: b,
+                resource: resource_of(&events[i].kind),
+                event: Some(EventId(i)),
+            },
+        );
+    }
+    for (ga, gb) in gaps {
+        attribute_gap(events, ga, gb, None, &mut segments);
     }
 
-    let mut segments: Vec<Segment> = Vec::new();
-    for (idx, &(a, b, cover)) in raw.iter().enumerate() {
-        match cover {
-            Some(i) => push_merged(
-                &mut segments,
-                Segment {
-                    start: a,
-                    end: b,
-                    resource: resource_of(&events[i].kind),
-                    event: Some(EventId(i)),
-                },
-            ),
-            None => {
-                // The event this gap precedes starts exactly at `b` (the
-                // next covered interval's owner); a trailing gap has none.
-                let succ = raw[idx + 1..].iter().find_map(|&(_, _, c)| c);
-                attribute_gap(timeline, a, b, succ, &mut segments);
-            }
-        }
-    }
-
-    // Count path hops the causal DAG explains: consecutive path events
-    // linked by a recorded edge.
-    let mut causal_links = 0usize;
-    let path: Vec<EventId> = {
-        let mut out: Vec<EventId> = Vec::new();
-        for s in &segments {
-            if let Some(id) = s.event {
-                if out.last() != Some(&id) {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    };
-    for pair in path.windows(2) {
-        if graph.predecessors(pair[1]).any(|e| e.from == pair[0]) {
-            causal_links += 1;
-        }
-    }
-
-    CritPath {
+    let mut path = CritPath {
         segments,
         first,
         last,
-        causal_links,
+        causal_links: 0,
+    };
+    path.causal_links = count_links(&path.events_on_path(), graph);
+    path
+}
+
+/// Counts path hops the causal DAG explains: consecutive path events
+/// linked by a recorded edge, looked up in one sorted `(to, from)` index
+/// rather than by scanning every edge per hop.
+fn count_links(path: &[EventId], graph: &CausalGraph) -> usize {
+    if path.len() < 2 || graph.is_empty() {
+        return 0;
     }
+    let mut index: Vec<(EventId, EventId)> = graph.edges().iter().map(|e| (e.to, e.from)).collect();
+    index.sort_unstable();
+    path.windows(2)
+        .filter(|hop| index.binary_search(&(hop[1], hop[0])).is_ok())
+        .count()
 }
 
 /// Charges an uncovered interval `[a, b)` by what it waited for.
 fn attribute_gap(
-    timeline: &Timeline,
+    events: &[TraceEvent],
     a: SimTime,
     b: SimTime,
     succ: Option<usize>,
     segments: &mut Vec<Segment>,
 ) {
-    let events = timeline.events();
     let Some(s) = succ else {
         // Trailing host time after the last span.
         push_merged(
@@ -523,8 +528,210 @@ hcc_types::impl_to_json!(Segment {
 mod tests {
     use super::*;
     use crate::causal::{CausalEdge, EdgeKind};
-    use crate::event::{KernelId, TraceEvent};
-    use hcc_types::{ByteSize, CopyKind, HostMemKind};
+    use crate::event::{HypercallReason, KernelId};
+    use hcc_check::strategy::{u16s, u64s, u8s, vecs};
+    use hcc_check::{ensure_eq, forall, Config};
+    use hcc_types::{ByteSize, CopyKind, HostMemKind, MemSpace};
+
+    /// The two-pass extraction [`extract`] replaced: a sweep that records
+    /// every elementary interval, then a second walk that searches forward
+    /// for each gap's successor, with causal links counted by scanning
+    /// every edge per hop. Kept as the oracle the one-pass sweep must
+    /// match exactly.
+    fn extract_reference(timeline: &Timeline, graph: &CausalGraph) -> CritPath {
+        let events = timeline.events();
+        let first = events.iter().map(|e| e.start).min();
+        let last = events.iter().map(|e| e.end).max();
+        let (Some(first), Some(last)) = (first, last) else {
+            return CritPath {
+                segments: Vec::new(),
+                first: SimTime::ZERO,
+                last: SimTime::ZERO,
+                causal_links: 0,
+            };
+        };
+        if first == last {
+            return CritPath {
+                segments: Vec::new(),
+                first,
+                last,
+                causal_links: 0,
+            };
+        }
+        let mut order: Vec<usize> = (0..events.len())
+            .filter(|&i| events[i].end > events[i].start)
+            .collect();
+        order.sort_by_key(|&i| events[i].start);
+        let mut bounds: Vec<SimTime> = vec![first, last];
+        for &i in &order {
+            bounds.push(events[i].start);
+            bounds.push(events[i].end);
+        }
+        bounds.sort_unstable();
+        bounds.dedup();
+
+        let mut heap: BinaryHeap<(u8, SimTime, usize)> = BinaryHeap::new();
+        let mut next = 0usize;
+        let mut raw: Vec<(SimTime, SimTime, Option<usize>)> = Vec::new();
+        for w in bounds.windows(2) {
+            let (a, b) = (w[0], w[1]);
+            while next < order.len() && events[order[next]].start <= a {
+                let i = order[next];
+                heap.push((priority(&events[i].kind), events[i].start, i));
+                next += 1;
+            }
+            while let Some(&(_, _, i)) = heap.peek() {
+                if events[i].end <= a {
+                    heap.pop();
+                } else {
+                    break;
+                }
+            }
+            raw.push((a, b, heap.peek().map(|&(_, _, i)| i)));
+        }
+
+        let mut segments: Vec<Segment> = Vec::new();
+        for (idx, &(a, b, cover)) in raw.iter().enumerate() {
+            match cover {
+                Some(i) => push_merged(
+                    &mut segments,
+                    Segment {
+                        start: a,
+                        end: b,
+                        resource: resource_of(&events[i].kind),
+                        event: Some(EventId(i)),
+                    },
+                ),
+                None => {
+                    let succ = raw[idx + 1..].iter().find_map(|&(_, _, c)| c);
+                    attribute_gap(events, a, b, succ, &mut segments);
+                }
+            }
+        }
+        let mut path = CritPath {
+            segments,
+            first,
+            last,
+            causal_links: 0,
+        };
+        path.causal_links = path
+            .events_on_path()
+            .windows(2)
+            .filter(|hop| graph.predecessors(hop[1]).any(|e| e.from == hop[0]))
+            .count();
+        path
+    }
+
+    /// One event per raw `(start, len, kind, extra)` tuple. Starts sit on
+    /// a coarse 1 µs grid so equal starts and shared boundaries are
+    /// common; `len == 0` gives zero-width markers; `kind` walks every
+    /// nesting priority; `extra` is a launch's `queue_wait`, drawn on the
+    /// same scale as the gaps so it lands on both sides of them.
+    fn random_event((start, len, kind, extra): (u64, u64, u8, u64)) -> TraceEvent {
+        let bytes = ByteSize::kib(4);
+        let site = FaultSite::BounceExhausted;
+        let kind = match kind {
+            0 => EventKind::Sync,
+            1 => EventKind::Launch {
+                kernel: KernelId(0),
+                queue_wait: SimDuration::micros(extra),
+                first: false,
+            },
+            2 => EventKind::Alloc {
+                space: MemSpace::Device,
+                bytes,
+            },
+            3 => EventKind::Free {
+                space: MemSpace::Host,
+                bytes,
+            },
+            4 => EventKind::Memcpy {
+                kind: CopyKind::H2D,
+                bytes,
+                mem: HostMemKind::Pageable,
+                managed: false,
+            },
+            5 => EventKind::Crypto {
+                bytes,
+                encrypt: true,
+            },
+            6 => EventKind::BounceReserve {
+                bytes,
+                converted: false,
+            },
+            7 => EventKind::Hypercall {
+                reason: HypercallReason::DmaMap,
+            },
+            8 => EventKind::Kernel {
+                kernel: KernelId(0),
+                uvm: false,
+            },
+            9 => EventKind::UvmFault {
+                kernel: KernelId(0),
+                pages: 1,
+                bytes,
+            },
+            10 => EventKind::FaultInjected { site, attempts: 1 },
+            11 => EventKind::Retry { site, attempt: 1 },
+            _ => EventKind::Degraded { site },
+        };
+        TraceEvent::new(kind, t(start), t(start + len))
+    }
+
+    /// Builds the timeline and a causal graph whose raw `(from, to)`
+    /// pairs are folded onto the event ids (self-loops dropped), so the
+    /// edges often land on real path hops.
+    fn random_case(raw: &[(u64, u64, u8, u64)], edges: &[(u16, u16)]) -> (Timeline, CausalGraph) {
+        let tl: Timeline = raw.iter().copied().map(random_event).collect();
+        let mut g = CausalGraph::new(true);
+        if !tl.is_empty() {
+            for &(a, b) in edges {
+                let (a, b) = (usize::from(a) % tl.len(), usize::from(b) % tl.len());
+                if a != b {
+                    g.push(CausalEdge::new(
+                        EventId(a.min(b)),
+                        EventId(a.max(b)),
+                        EdgeKind::StreamOrder,
+                    ));
+                }
+            }
+        }
+        (tl, g)
+    }
+
+    #[test]
+    fn one_pass_sweep_matches_the_reference() {
+        let events = vecs((u64s(0..40), u64s(0..12), u8s(0..13), u64s(0..12)), 0..24);
+        let edges = vecs((u16s(0..64), u16s(0..64)), 0..48);
+        forall!(
+            Config::new(0x7ACE_00C9).with_cases(512),
+            (raw, raw_edges) in (events, edges) =>
+        {
+            let (tl, g) = random_case(&raw, &raw_edges);
+            let fast = extract(&tl, &g);
+            let slow = extract_reference(&tl, &g);
+            ensure_eq!(fast.segments(), slow.segments());
+            ensure_eq!(fast.first(), slow.first());
+            ensure_eq!(fast.last(), slow.last());
+            ensure_eq!(fast.causal_links(), slow.causal_links());
+        });
+    }
+
+    #[test]
+    fn one_pass_sweep_matches_the_reference_on_degenerate_timelines() {
+        let g = CausalGraph::new(true);
+        // Empty; one zero-width marker; several markers at one instant.
+        let cases: [&[(u64, u64, u8, u64)]; 3] = [
+            &[],
+            &[(5, 0, 10, 0)],
+            &[(5, 0, 10, 0), (5, 0, 1, 3), (5, 0, 8, 0)],
+        ];
+        for raw in cases {
+            let (tl, _) = random_case(raw, &[]);
+            assert_eq!(extract(&tl, &g), extract_reference(&tl, &g));
+            assert!(extract(&tl, &g).segments().is_empty());
+        }
+    }
 
     fn t(us: u64) -> SimTime {
         SimTime::ZERO + SimDuration::micros(us)

@@ -198,6 +198,11 @@ impl Timeline {
         }
     }
 
+    /// Earliest event start (`None` while empty).
+    pub fn start(&self) -> Option<SimTime> {
+        self.min_start
+    }
+
     /// Latest event end (completion time).
     pub fn end(&self) -> SimTime {
         self.max_end

@@ -42,6 +42,10 @@ impl Calibration {
     /// shortest-roundtrip form, so any perturbation of any constant changes
     /// the fingerprint. Used by `SimConfig::content_hash` so scenario cache
     /// keys cannot alias two different calibrations.
+    ///
+    /// Rendering the bundle costs tens of microseconds, far more than the
+    /// rest of a memo key, so `SimConfig` calls this once, when a
+    /// calibration enters the config, and hashes the stored value.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         use crate::json::ToJson;

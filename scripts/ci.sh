@@ -154,6 +154,29 @@ fi
 
 echo "tier-2: OK (explain deterministic, blames crypto/bounce and uvm)"
 
+# Tier-2 call-stack smoke: fig08_callstack marks the frames whose resource
+# class holds critical-path time, extracted with the causal plane on.
+# stdout must be byte-identical at 1 and 4 engine threads, and both mode
+# sections must mark at least one frame.
+echo "==> tier-2: fig08 call-stack marks determinism"
+HCC_ENGINE_THREADS=1 ./target/release/fig08_callstack \
+    >"$t2_dir/fig08_1.out" 2>/dev/null
+HCC_ENGINE_THREADS=4 ./target/release/fig08_callstack \
+    >"$t2_dir/fig08_4.out" 2>/dev/null
+
+if ! diff -u "$t2_dir/fig08_1.out" "$t2_dir/fig08_4.out"; then
+    echo "tier-2: FAIL — fig08_callstack stdout differs between 1 and 4 threads" >&2
+    exit 1
+fi
+marked=$(sed -n 's/.*(\([0-9][0-9]*\) frames marked)$/\1/p' "$t2_dir/fig08_1.out")
+sections=$(echo "$marked" | grep -c '^[1-9]' || true)
+if [ "$sections" -ne 2 ]; then
+    echo "tier-2: FAIL — expected 2 sections with marked frames, got marks '$marked'" >&2
+    exit 1
+fi
+
+echo "tier-2: OK (fig08 deterministic, frames marked: $(echo $marked))"
+
 # Tier-2 machine-readable summary: per-app P + phase totals + engine
 # self-profile, written by the same run that prints the scorecard.
 echo "==> tier-2: BENCH_summary.json export"
