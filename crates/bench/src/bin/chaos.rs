@@ -16,8 +16,7 @@
 use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::cli::{self, Cli};
 use hcc_bench::engine;
-use hcc_bench::serving::SchedulerKind;
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::ToJson;
 use hcc_types::{RecoveryPolicy, StormProfile};
 
 const CLI: Cli = Cli {
@@ -33,19 +32,7 @@ fn parse_profiles(raw: &str) -> Vec<StormProfile> {
         return StormProfile::builtin();
     }
     raw.split(',')
-        .map(|name| {
-            StormProfile::by_name(name.trim()).unwrap_or_else(|| {
-                let known: Vec<&str> = StormProfile::builtin().iter().map(|p| p.name).collect();
-                CLI.bad(
-                    "--profiles",
-                    &format!(
-                        "unknown storm profile {:?} (profiles: {}, or all)",
-                        name.trim(),
-                        known.join(", ")
-                    ),
-                )
-            })
-        })
+        .map(|name| CLI.profile("--profiles", name))
         .collect()
 }
 
@@ -69,12 +56,12 @@ fn parse_policies(raw: &str) -> Vec<RecoveryPolicy> {
 }
 
 fn main() {
-    // Harness default, then env overrides (HCC_CHAOS_*), then flags.
-    let mut cfg = ChaosConfig::default().from_env();
+    // Harness default, then flags.
+    let mut cfg = ChaosConfig::default();
     let mut json_path: Option<String> = None;
     let mut tenant_count = 2usize;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = CLI.args();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--requests" => cfg.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS),
@@ -89,22 +76,14 @@ fn main() {
             "--profiles" => cfg.profiles = parse_profiles(&CLI.value(&arg, args.next())),
             "--policies" => cfg.policies = parse_policies(&CLI.value(&arg, args.next())),
             "--arrival" => cfg.arrival = CLI.arrival(&arg, args.next()),
-            "--scheduler" => {
-                let raw = CLI.value(&arg, args.next());
-                cfg.scheduler = SchedulerKind::parse(&raw).unwrap_or_else(|| {
-                    CLI.bad(
-                        &arg,
-                        &format!("unknown scheduler {raw:?} (expected fifo|priority|batching)"),
-                    )
-                });
-            }
+            "--scheduler" => cfg.scheduler = CLI.scheduler(&arg, &CLI.value(&arg, args.next())),
             "--watch" => {
                 cfg.watch = Some(hcc_bench::watch::WatchConfig::default().from_env());
             }
             "--flight" => {
                 cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
             }
-            "--json" => json_path = args.next(),
+            "--json" => json_path = Some(CLI.value(&arg, args.next())),
             _ => CLI.bad(&arg, "unknown flag"),
         }
     }
@@ -118,34 +97,19 @@ fn main() {
     print!("{}", report.render());
 
     if let Some(path) = json_path {
-        let stats = engine::global().stats();
-        let secs = elapsed.as_secs_f64().max(1e-9);
         let (pass, fail) = report.verdict_counts();
-        let doc = Json::Obj(vec![
+        let bench = [
             (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    (
-                        "requests_per_sec".to_string(),
-                        Json::U64((report.total_requests() as f64 / secs).round() as u64),
-                    ),
-                    (
-                        "total_requests".to_string(),
-                        Json::U64(report.total_requests()),
-                    ),
-                    (
-                        "cells".to_string(),
-                        Json::U64(report.cells().count() as u64),
-                    ),
-                    ("verdict_pass".to_string(), Json::U64(pass)),
-                    ("verdict_fail".to_string(), Json::U64(fail)),
-                    ("wall_ms".to_string(), Json::U64(elapsed.as_millis() as u64)),
-                ]),
+                "requests_per_sec",
+                cli::per_sec(report.total_requests(), elapsed),
             ),
-            ("report".to_string(), report.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_die(&path, &doc.to_string());
+            ("total_requests", report.total_requests()),
+            ("cells", report.cells().count() as u64),
+            ("verdict_pass", pass),
+            ("verdict_fail", fail),
+            ("wall_ms", elapsed.as_millis() as u64),
+        ];
+        cli::write_export(&path, &bench, "report", report.to_json());
     }
 
     engine::emit_stats();

@@ -11,10 +11,16 @@
 //!
 //! `--json <path>` additionally writes every explanation as a JSON array.
 
+use hcc_bench::cli::{self, Cli};
 use hcc_bench::explain::{explain_all, AppExplanation};
 use hcc_bench::{engine, report};
 use hcc_trace::critpath::ResourceClass;
 use hcc_types::json::{Json, ToJson};
+
+const CLI: Cli = Cli {
+    bin: "explain",
+    usage: "usage: explain [--json <path>]",
+};
 
 fn us(ns: i64) -> String {
     format!("{:+.1}", ns as f64 / 1_000.0)
@@ -65,14 +71,11 @@ fn print_table(rows: &[AppExplanation]) {
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = CLI.args();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json_path = args.next(),
-            other => {
-                eprintln!("unknown argument {other:?} (expected --json <path>)");
-                std::process::exit(2);
-            }
+            "--json" => json_path = Some(CLI.value(&arg, args.next())),
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
 
@@ -106,10 +109,7 @@ fn main() {
 
     if let Some(path) = json_path {
         let doc = Json::Arr(rows.iter().map(ToJson::to_json).collect());
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &doc.to_string());
     }
 
     report::exit_on_failures(&failures);

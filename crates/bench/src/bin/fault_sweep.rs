@@ -13,33 +13,29 @@
 //! deliberately panicking ad-hoc scenario is contained as a structured
 //! failure while the rest of the batch completes.
 
+use hcc_bench::cli::Cli;
 use hcc_bench::engine;
 use hcc_bench::report;
 use hcc_runtime::SimConfig;
 use hcc_types::{ByteSize, CcMode, FaultPlan, HostMemKind, SimDuration};
 use hcc_workloads::{suites, Op, Scenario, Suite, WorkloadSpec};
 
+const CLI: Cli = Cli {
+    bin: "fault_sweep",
+    usage: "usage: fault_sweep [--plan <spec>] [--panic-smoke]",
+};
+
 const DEFAULT_PLAN: &str = "seed=7,gcm=0.35,bounce=0.3,ring=0.3,uvm=0.35,max=6";
 
 fn main() {
     let mut plan_spec = DEFAULT_PLAN.to_string();
     let mut panic_smoke = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--plan" => {
-                plan_spec = args.next().unwrap_or_else(|| {
-                    eprintln!("fault_sweep: --plan: missing value");
-                    std::process::exit(2);
-                });
-            }
+    let mut args = CLI.args();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--plan" => plan_spec = CLI.value(&arg, args.next()),
             "--panic-smoke" => panic_smoke = true,
-            other => {
-                eprintln!(
-                    "fault_sweep: unknown argument {other:?} (expected --plan <spec> | --panic-smoke)"
-                );
-                std::process::exit(2);
-            }
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
 
@@ -48,10 +44,7 @@ fn main() {
         return;
     }
 
-    let plan = FaultPlan::parse(&plan_spec).unwrap_or_else(|e| {
-        eprintln!("fault_sweep: --plan: {e}");
-        std::process::exit(2);
-    });
+    let plan = FaultPlan::parse(&plan_spec).unwrap_or_else(|e| CLI.bad("--plan", &e));
     sweep(plan);
 }
 

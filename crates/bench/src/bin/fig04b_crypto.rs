@@ -1,11 +1,23 @@
 //! Fig. 4b: single-core crypto throughput per CPU.
 
+use hcc_bench::cli::Cli;
 use hcc_bench::figures::fig04b;
 use hcc_bench::report;
 
+const CLI: Cli = Cli {
+    bin: "fig04b_crypto",
+    usage: "usage: fig04b_crypto [--functional]",
+};
+
 fn main() {
+    let mut functional = false;
+    for arg in CLI.args() {
+        match arg.as_str() {
+            "--functional" => functional = true,
+            _ => CLI.bad(&arg, "unknown flag"),
+        }
+    }
     report::section("Fig. 4b — single-core crypto throughput (GB/s)");
-    let functional = std::env::args().any(|a| a == "--functional");
     println!(
         "{:<14} {:<20} {:>10} {:>12}",
         "cpu", "algorithm", "modeled", "functional"

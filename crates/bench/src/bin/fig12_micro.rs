@@ -2,9 +2,15 @@
 //! (c) stream overlap. Pass `a`, `b`, or `c` to run one panel; default
 //! runs all.
 
+use hcc_bench::cli::Cli;
 use hcc_bench::figures::fig12;
 use hcc_bench::report;
 use hcc_types::{ByteSize, CcMode, SimDuration};
+
+const CLI: Cli = Cli {
+    bin: "fig12_micro",
+    usage: "usage: fig12_micro [a|b|c]",
+};
 
 fn panel_a() {
     report::section("Fig. 12a — KLO vs launch index (K0 x100 then K1 x100)");
@@ -62,15 +68,20 @@ fn panel_c() {
 }
 
 fn main() {
-    let arg = std::env::args().nth(1);
-    match arg.as_deref() {
-        Some("a") => panel_a(),
-        Some("b") => panel_b(),
-        Some("c") => panel_c(),
-        _ => {
+    let mut args = CLI.args();
+    let panel = args.next();
+    if let Some(extra) = args.next() {
+        CLI.bad(&extra, "unexpected argument (one panel at most)");
+    }
+    match panel.as_deref() {
+        None => {
             panel_a();
             panel_b();
             panel_c();
         }
+        Some("a") => panel_a(),
+        Some("b") => panel_b(),
+        Some("c") => panel_c(),
+        Some(other) => CLI.bad(other, "unknown panel (expected a|b|c)"),
     }
 }

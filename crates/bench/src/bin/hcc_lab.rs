@@ -8,33 +8,51 @@
 //! cargo run -p hcc-bench --bin hcc_lab -- trace gemm --cc   # JSON events
 //! ```
 
+use hcc_bench::cli::Cli;
 use hcc_core::{CcReport, PerfModel, PhaseBreakdown};
 use hcc_runtime::SimConfig;
 use hcc_types::json::ToJson;
 use hcc_types::CcMode;
 use hcc_workloads::{parse_workload, runner, suites, WorkloadSpec};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: hcc_lab <command>\n\
-         \n\
-         commands:\n\
-         \x20 list                      list the built-in benchmark apps\n\
-         \x20 run <app> [--cc]          run one app, print the phase breakdown\n\
-         \x20 report <app>              base-vs-CC characterization + advice\n\
-         \x20 deck <file> [--cc|--report]  run a workload deck (text format)\n\
-         \x20 trace <app> [--cc]        dump the trace as JSON lines\n\
-         \x20 chrome <app> [--cc]       dump a chrome://tracing JSON file to stdout"
-    );
-    std::process::exit(2);
+const CLI: Cli = Cli {
+    bin: "hcc_lab",
+    usage: "usage: hcc_lab <command>\n\
+            \n\
+            commands:\n\
+            \x20 list                      list the built-in benchmark apps\n\
+            \x20 run <app> [--cc]          run one app, print the phase breakdown\n\
+            \x20 report <app>              base-vs-CC characterization + advice\n\
+            \x20 deck <file> [--cc|--report]  run a workload deck (text format)\n\
+            \x20 trace <app> [--cc]        dump the trace as JSON lines\n\
+            \x20 chrome <app> [--cc]       dump a chrome://tracing JSON file to stdout",
+};
+
+/// A command's operand and the flags after it: `--cc` picks CC-on, and
+/// `--report` is accepted only where `flags` lists it.
+struct Operand {
+    name: String,
+    cc: CcMode,
+    report: bool,
 }
 
-fn cc_flag(args: &[String]) -> CcMode {
-    if args.iter().any(|a| a == "--cc") {
-        CcMode::On
-    } else {
-        CcMode::Off
+fn operand(cmd: &str, mut args: impl Iterator<Item = String>, flags: &[&str]) -> Operand {
+    let name = args
+        .next()
+        .unwrap_or_else(|| CLI.bad(cmd, "missing operand"));
+    let mut op = Operand {
+        name,
+        cc: CcMode::Off,
+        report: false,
+    };
+    for arg in args {
+        match arg.as_str() {
+            "--cc" if flags.contains(&"--cc") => op.cc = CcMode::On,
+            "--report" if flags.contains(&"--report") => op.report = true,
+            _ => CLI.bad(&arg, "unknown flag"),
+        }
     }
+    op
 }
 
 fn load_spec(name: &str) -> WorkloadSpec {
@@ -83,14 +101,7 @@ fn run_and_print(spec: &WorkloadSpec, cc: CcMode) {
     );
 }
 
-fn cmd_run(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let spec = load_spec(name);
-    run_and_print(&spec, cc_flag(args));
-}
-
-fn cmd_report(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
+fn cmd_report(name: &str) {
     let spec = load_spec(name);
     let base = runner::run(&spec, SimConfig::new(CcMode::Off)).expect("base run");
     let cc = runner::run(&spec, SimConfig::new(CcMode::On)).expect("cc run");
@@ -98,8 +109,8 @@ fn cmd_report(args: &[String]) {
     print!("{}", report.to_markdown());
 }
 
-fn cmd_deck(args: &[String]) {
-    let Some(path) = args.first() else { usage() };
+fn cmd_deck(op: &Operand) {
+    let path = &op.name;
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(1);
@@ -108,7 +119,7 @@ fn cmd_deck(args: &[String]) {
         eprintln!("{path}: {e}");
         std::process::exit(1);
     });
-    if args.iter().any(|a| a == "--report") {
+    if op.report {
         let base = runner::run(&spec, SimConfig::new(CcMode::Off)).expect("base run");
         let cc = runner::run(&spec, SimConfig::new(CcMode::On)).expect("cc run");
         print!(
@@ -116,25 +127,21 @@ fn cmd_deck(args: &[String]) {
             CcReport::generate(spec.name, &base.timeline, &cc.timeline).to_markdown()
         );
     } else {
-        run_and_print(&spec, cc_flag(args));
+        run_and_print(&spec, op.cc);
     }
 }
 
-fn cmd_trace(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let spec = load_spec(name);
-    let r = runner::run(&spec, SimConfig::new(cc_flag(args))).expect("run");
+fn cmd_trace(op: &Operand) {
+    let spec = load_spec(&op.name);
+    let r = runner::run(&spec, SimConfig::new(op.cc)).expect("run");
     for event in r.timeline.events() {
         println!("{}", event.to_json_string());
     }
 }
 
-fn cmd_chrome(args: &[String]) {
-    let Some(name) = args.first() else { usage() };
-    let spec = load_spec(name);
-    let cfg = SimConfig::new(cc_flag(args))
-        .with_metrics(true)
-        .with_causal(true);
+fn cmd_chrome(op: &Operand) {
+    let spec = load_spec(&op.name);
+    let cfg = SimConfig::new(op.cc).with_metrics(true).with_causal(true);
     let r = runner::run(&spec, cfg).expect("run");
     let mut export = hcc_trace::ChromeExport::new().with_causal(&r.causal);
     if let Some(set) = r.metrics.as_ref() {
@@ -144,14 +151,23 @@ fn cmd_chrome(args: &[String]) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(&args[1..]),
-        Some("report") => cmd_report(&args[1..]),
-        Some("deck") => cmd_deck(&args[1..]),
-        Some("trace") => cmd_trace(&args[1..]),
-        Some("chrome") => cmd_chrome(&args[1..]),
-        _ => usage(),
+    let mut args = CLI.args();
+    let cmd = args.next().unwrap_or_else(|| CLI.usage());
+    match cmd.as_str() {
+        "list" => {
+            if let Some(extra) = args.next() {
+                CLI.bad(&extra, "unexpected argument");
+            }
+            cmd_list();
+        }
+        "run" => {
+            let op = operand(&cmd, args, &["--cc"]);
+            run_and_print(&load_spec(&op.name), op.cc);
+        }
+        "report" => cmd_report(&operand(&cmd, args, &[]).name),
+        "deck" => cmd_deck(&operand(&cmd, args, &["--cc", "--report"])),
+        "trace" => cmd_trace(&operand(&cmd, args, &["--cc"])),
+        "chrome" => cmd_chrome(&operand(&cmd, args, &["--cc"])),
+        _ => CLI.bad(&cmd, "unknown command"),
     }
 }

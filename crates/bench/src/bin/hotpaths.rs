@@ -15,7 +15,8 @@
 //! HCC_BLESS=1 ./target/release/hotpaths
 //! ```
 //!
-//! `HCC_BENCH_SAMPLES` overrides the sample count (default 20).
+//! `HCC_BENCH_SAMPLES` overrides the sample count (default 20; zero or
+//! malformed keeps the default, and at most 10000).
 //!
 //! The `pre_pr` block in the JSON is provenance, not a gate input: it
 //! records the same measurement taken at the last commit before the
@@ -24,6 +25,7 @@
 
 use std::time::Instant;
 
+use hcc_bench::harness;
 use hcc_runtime::SimConfig;
 use hcc_types::json::Json;
 use hcc_types::CcMode;
@@ -66,12 +68,7 @@ fn render(scenarios: usize, best_ms: f64, median_ms: f64) -> String {
 }
 
 fn main() {
-    let samples: usize = std::env::var("HCC_BENCH_SAMPLES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(20);
-
-    let (scenarios, times) = measure(samples);
+    let (scenarios, times) = measure(harness::samples_from_env(20));
     let mut sorted = times.clone();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     let best_ms = sorted[0] * 1e3;

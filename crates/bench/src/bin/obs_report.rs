@@ -19,12 +19,18 @@
 //! back to zero usually means a release was never recorded.
 
 use hcc_bench::chaos::ChaosConfig;
+use hcc_bench::cli::{self, Cli};
 use hcc_bench::serving::ServingConfig;
 use hcc_bench::{chaos, engine, figures, report, serving};
 use hcc_trace::metrics::{to_prometheus, MetricsSet};
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{CcMode, RecoveryPolicy, SimDuration, SimTime, StormProfile};
 use hcc_workloads::{suites, Scenario};
+
+const CLI: Cli = Cli {
+    bin: "obs_report",
+    usage: "usage: obs_report [--serve] [--chaos] [--json <path>] [--prom <path>]",
+};
 
 /// Queue-style gauges (unit: items waiting) ranked when flagging the
 /// saturated resource. Occupancy gauges in other units (bounce bytes)
@@ -130,20 +136,14 @@ fn main() {
     let mut prom_path: Option<String> = None;
     let mut serve_soak = false;
     let mut chaos_soak = false;
-    let mut args = std::env::args().skip(1);
+    let mut args = CLI.args();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json_path = args.next(),
-            "--prom" => prom_path = args.next(),
+            "--json" => json_path = Some(CLI.value(&arg, args.next())),
+            "--prom" => prom_path = Some(CLI.value(&arg, args.next())),
             "--serve" => serve_soak = true,
             "--chaos" => chaos_soak = true,
-            other => {
-                eprintln!(
-                    "unknown argument {other:?} \
-                     (expected --serve | --chaos | --json <path> | --prom <path>)"
-                );
-                std::process::exit(2);
-            }
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
 
@@ -301,21 +301,14 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let doc = Json::Arr(json_rows);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &Json::Arr(json_rows).to_string());
     }
     if let Some(path) = prom_path {
         let page = match &worst {
             Some((_, _, set)) => to_prometheus(set),
             None => String::new(),
         };
-        if let Err(e) = std::fs::write(&path, page) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &page);
     }
 
     engine::emit_stats();

@@ -20,7 +20,7 @@
 use hcc_bench::cli::{self, Cli};
 use hcc_bench::engine;
 use hcc_bench::serving::{self, SchedulerKind, ServingConfig};
-use hcc_types::json::{Json, ToJson};
+use hcc_types::json::ToJson;
 
 const CLI: Cli = Cli {
     bin: "serve",
@@ -30,16 +30,15 @@ const CLI: Cli = Cli {
 };
 
 fn main() {
-    // Harness default, then env overrides (HCC_SERVE_*), then flags.
+    // Harness default, then flags.
     let mut cfg = ServingConfig {
         requests: 100_000,
         ..ServingConfig::default()
-    }
-    .from_env();
+    };
     let mut json_path: Option<String> = None;
     let mut tenant_count = 2usize;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = CLI.args();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--requests" => cfg.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS),
@@ -56,14 +55,7 @@ fn main() {
                 cfg.schedulers = if raw == "all" {
                     SchedulerKind::ALL.to_vec()
                 } else {
-                    vec![SchedulerKind::parse(&raw).unwrap_or_else(|| {
-                        CLI.bad(
-                            &arg,
-                            &format!(
-                                "unknown scheduler {raw:?} (expected fifo|priority|batching|all)"
-                            ),
-                        )
-                    })]
+                    vec![CLI.scheduler(&arg, &raw)]
                 };
             }
             "--watch" => {
@@ -72,7 +64,7 @@ fn main() {
             "--flight" => {
                 cfg.flight = Some(hcc_trace::FlightConfig::default().from_env());
             }
-            "--json" => json_path = args.next(),
+            "--json" => json_path = Some(CLI.value(&arg, args.next())),
             _ => CLI.bad(&arg, "unknown flag"),
         }
     }
@@ -85,27 +77,12 @@ fn main() {
     print!("{}", report.render());
 
     if let Some(path) = json_path {
-        let stats = engine::global().stats();
-        let secs = elapsed.as_secs_f64().max(1e-9);
-        let doc = Json::Obj(vec![
-            (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    (
-                        "requests_per_sec".to_string(),
-                        Json::U64((cfg.requests as f64 / secs).round() as u64),
-                    ),
-                    (
-                        "shapes_simulated".to_string(),
-                        Json::U64(stats.scenarios_run),
-                    ),
-                    ("wall_ms".to_string(), Json::U64(elapsed.as_millis() as u64)),
-                ]),
-            ),
-            ("report".to_string(), report.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_die(&path, &doc.to_string());
+        let bench = [
+            ("requests_per_sec", cli::per_sec(cfg.requests, elapsed)),
+            ("shapes_simulated", engine::global().stats().scenarios_run),
+            ("wall_ms", elapsed.as_millis() as u64),
+        ];
+        cli::write_export(&path, &bench, "report", report.to_json());
     }
 
     engine::emit_stats();

@@ -23,10 +23,9 @@
 //! structural invariant, 2 = usage error.
 
 use hcc_bench::cli::{self, Cli};
-use hcc_bench::watch::{self, WatchReport};
-use hcc_bench::{chaos, engine, serving};
-use hcc_types::json::{Json, ToJson};
-use hcc_types::StormProfile;
+use hcc_bench::engine;
+use hcc_bench::watch::WatchSoak;
+use hcc_types::json::ToJson;
 
 const CLI: Cli = Cli {
     bin: "slo_watch",
@@ -35,95 +34,47 @@ const CLI: Cli = Cli {
 };
 
 fn main() {
-    // The two canonical soaks; flags override whichever one applies.
-    let mut serve = watch::calm_soak();
-    let mut storm = watch::stormy_soak();
-    serve.watch = Some(watch::WatchConfig::default().from_env());
-    storm.watch = serve.watch;
-    let mut serve_mode = false;
+    let mut soak = WatchSoak::new();
     let mut json_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = CLI.args();
     while let Some(arg) = args.next() {
+        if soak.flag(&CLI, &arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--serve" => serve_mode = true,
-            "--flight" => {
-                serve.flight = Some(hcc_trace::FlightConfig::default().from_env());
-                storm.flight = serve.flight;
-            }
-            "--requests" => {
-                serve.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS);
-                storm.requests = serve.requests;
-            }
-            "--days" => storm.days = CLI.u64_in(&arg, args.next(), cli::DAYS),
-            "--gpus" => {
-                serve.gpus = CLI.u64_in(&arg, args.next(), cli::GPUS) as usize;
-                storm.gpus = serve.gpus;
-            }
-            "--seed" => {
-                serve.seed = CLI.u64(&arg, args.next());
-                storm.seed = serve.seed;
-            }
+            "--flight" => soak.set_flight(Some(hcc_trace::FlightConfig::default().from_env())),
             "--profile" => {
-                let raw = CLI.value(&arg, args.next());
-                storm.profiles = vec![StormProfile::by_name(raw.trim()).unwrap_or_else(|| {
-                    let known: Vec<&str> = StormProfile::builtin().iter().map(|p| p.name).collect();
-                    CLI.bad(
-                        &arg,
-                        &format!(
-                            "unknown storm profile {:?} (profiles: {})",
-                            raw.trim(),
-                            known.join(", ")
-                        ),
-                    )
-                })];
+                soak.storm.profiles = vec![CLI.profile(&arg, &CLI.value(&arg, args.next()))];
             }
-            "--util" => serve.target_util = CLI.f64_in(&arg, args.next(), cli::UTIL),
-            "--json" => json_path = args.next(),
-            "--prom" => prom_path = args.next(),
+            "--util" => soak.serve.target_util = CLI.f64_in(&arg, args.next(), cli::UTIL),
+            "--json" => json_path = Some(CLI.value(&arg, args.next())),
+            "--prom" => prom_path = Some(CLI.value(&arg, args.next())),
             _ => CLI.bad(&arg, "unknown flag"),
         }
     }
 
     let wall = std::time::Instant::now();
-    let (header, report, healthy): (String, WatchReport, bool) = if serve_mode {
-        let cfg = serve;
-        let rep = serving::run(&cfg, engine::global());
-        let header = format!(
+    let run = soak.run(engine::global());
+    let elapsed = wall.elapsed();
+    let report = run.watch.expect("watch plane enabled");
+
+    if soak.serve_mode {
+        let cfg = &soak.serve;
+        print!(
             "=== slo watchtower: serve-shaped soak ===\n\
              soak serve | requests {} | gpus {} | util {:.2} | scheduler {} | seed {:#x}\n",
             cfg.requests, cfg.gpus, cfg.target_util, cfg.schedulers[0], cfg.seed,
         );
-        let healthy = rep.conserved();
-        let watch = rep
-            .runs
-            .into_iter()
-            .next()
-            .and_then(|r| r.watch)
-            .expect("watch plane enabled");
-        (header, watch, healthy)
     } else {
-        let cfg = storm;
-        let rep = chaos::run(&cfg, engine::global());
-        let header = format!(
+        let cfg = &soak.storm;
+        print!(
             "=== slo watchtower: chaos-shaped soak ===\n\
              soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}\n",
             cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
         );
-        let healthy = rep.healthy();
-        let watch = rep
-            .profiles
-            .into_iter()
-            .next()
-            .and_then(|p| p.cells.into_iter().next())
-            .and_then(|c| c.watch)
-            .expect("watch plane enabled");
-        (header, watch, healthy)
-    };
-    let elapsed = wall.elapsed();
-
-    print!("{header}");
+    }
     print!("{}", report.render());
 
     if let Some(path) = prom_path {
@@ -131,41 +82,21 @@ fn main() {
     }
 
     if let Some(path) = json_path {
-        let stats = engine::global().stats();
-        let secs = elapsed.as_secs_f64().max(1e-9);
-        let doc = Json::Obj(vec![
-            (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    (
-                        "windows_per_sec".to_string(),
-                        Json::U64((report.windows.len() as f64 / secs).round() as u64),
-                    ),
-                    (
-                        "windows".to_string(),
-                        Json::U64(report.windows.len() as u64),
-                    ),
-                    (
-                        "incidents".to_string(),
-                        Json::U64(report.incidents.len() as u64),
-                    ),
-                    ("alerts".to_string(), Json::U64(report.alerts())),
-                    (
-                        "storm_correlated".to_string(),
-                        Json::U64(report.storm_correlated() as u64),
-                    ),
-                    ("wall_ms".to_string(), Json::U64(elapsed.as_millis() as u64)),
-                ]),
-            ),
-            ("watch".to_string(), report.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_die(&path, &doc.to_string());
+        let windows = report.windows.len() as u64;
+        let bench = [
+            ("windows_per_sec", cli::per_sec(windows, elapsed)),
+            ("windows", windows),
+            ("incidents", report.incidents.len() as u64),
+            ("alerts", report.alerts()),
+            ("storm_correlated", report.storm_correlated() as u64),
+            ("wall_ms", elapsed.as_millis() as u64),
+        ];
+        cli::write_export(&path, &bench, "watch", report.to_json());
     }
 
     engine::emit_stats();
 
-    if !healthy {
+    if !run.healthy {
         eprintln!("slo_watch: underlying soak violated a structural invariant");
         std::process::exit(1);
     }

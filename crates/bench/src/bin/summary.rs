@@ -6,6 +6,7 @@
 //! cargo run --release -p hcc-bench --bin summary
 //! ```
 
+use hcc_bench::cli::{self, Cli};
 use hcc_bench::engine;
 use hcc_bench::figures::{self, fig04a, fig05, fig06, fig07, fig09, fig12};
 use hcc_bench::report;
@@ -17,6 +18,11 @@ use hcc_trace::geomean;
 use hcc_types::json::{Json, ToJson};
 use hcc_types::{ByteSize, CcMode, CpuModel, HostMemKind, SimDuration};
 use hcc_workloads::{suites, Scenario};
+
+const CLI: Cli = Cli {
+    bin: "summary",
+    usage: "usage: summary [--json <path>]",
+};
 
 fn line(label: &str, paper: &str, measured: String) {
     println!("{label:<44} {paper:>14} {measured:>14}");
@@ -60,14 +66,11 @@ fn bench_summary(failures: &mut Vec<engine::ScenarioFailure>) -> Json {
 
 fn main() {
     let mut json_path: Option<String> = None;
-    let mut args = std::env::args().skip(1);
+    let mut args = CLI.args();
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json_path = args.next(),
-            other => {
-                eprintln!("unknown argument {other:?} (expected --json <path>)");
-                std::process::exit(2);
-            }
+            "--json" => json_path = Some(CLI.value(&arg, args.next())),
+            _ => CLI.bad(&arg, "unknown flag"),
         }
     }
     // Prefetch every simulation-backed figure population in one parallel
@@ -268,11 +271,7 @@ fn main() {
     // covers every batch above). Only wall-clock fields differ between
     // thread counts; the per-app entries are deterministic.
     if let Some(path) = json_path {
-        let doc = bench_summary(&mut failures);
-        if let Err(e) = std::fs::write(&path, doc.to_string()) {
-            eprintln!("cannot write {path}: {e}");
-            std::process::exit(1);
-        }
+        cli::write_or_die(&path, &bench_summary(&mut failures).to_string());
     }
 
     // Engine statistics carry wall-clock times, so they go to stderr:

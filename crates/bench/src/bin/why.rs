@@ -25,14 +25,12 @@
 //! Exit codes: 0 = healthy, 1 = span-identity violation / unknown
 //! request or incident / unhealthy soak, 2 = usage error.
 
-use hcc_bench::chaos::{self, ChaosConfig};
 use hcc_bench::cli::{self, Cli};
 use hcc_bench::engine;
-use hcc_bench::serving::{self, ServingConfig};
-use hcc_bench::watch::{self, WatchReport};
+use hcc_bench::watch::{WatchReport, WatchSoak};
 use hcc_trace::metrics::to_prometheus_with_exemplars;
-use hcc_trace::{ChromeExport, FlightConfig, FlightLog, Histogram, MetricsSet};
-use hcc_types::json::{Json, ToJson};
+use hcc_trace::{ChromeExport, FlightConfig, Histogram, MetricsSet};
+use hcc_types::json::ToJson;
 
 const CLI: Cli = Cli {
     bin: "why",
@@ -68,83 +66,52 @@ fn incident_line(watch: &WatchReport, inc: &hcc_bench::watch::Incident) -> Strin
 }
 
 fn main() {
-    // The two canonical soaks, flight plane on; flags override whichever
-    // one applies.
-    let mut serve = watch::calm_soak();
-    let mut storm = watch::stormy_soak();
-    serve.watch = Some(watch::WatchConfig::default().from_env());
-    serve.flight = Some(FlightConfig::default().from_env());
-    (storm.watch, storm.flight) = (serve.watch, serve.flight);
-    let mut serve_mode = false;
+    // The canonical soaks with the flight plane on.
+    let mut soak = WatchSoak::new();
+    soak.set_flight(Some(FlightConfig::default().from_env()));
     let mut request: Option<u32> = None;
     let mut incident: Option<usize> = None;
     let mut chrome_path: Option<String> = None;
     let mut prom_path: Option<String> = None;
     let mut json_path: Option<String> = None;
 
-    let mut args = std::env::args().skip(1);
+    let mut args = CLI.args();
     while let Some(arg) = args.next() {
+        if soak.flag(&CLI, &arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--serve" => serve_mode = true,
             "--request" => {
                 request = Some(CLI.u64_in(&arg, args.next(), 0..=u64::from(u32::MAX)) as u32);
             }
             "--incident" => incident = Some(CLI.u64(&arg, args.next()) as usize),
-            "--requests" => {
-                serve.requests = CLI.u64_in(&arg, args.next(), cli::REQUESTS);
-                storm.requests = serve.requests;
-            }
-            "--days" => storm.days = CLI.u64_in(&arg, args.next(), cli::DAYS),
-            "--gpus" => {
-                serve.gpus = CLI.u64_in(&arg, args.next(), cli::GPUS) as usize;
-                storm.gpus = serve.gpus;
-            }
-            "--seed" => {
-                serve.seed = CLI.u64(&arg, args.next());
-                storm.seed = serve.seed;
-            }
-            "--chrome" => chrome_path = args.next(),
-            "--prom" => prom_path = args.next(),
-            "--json" => json_path = args.next(),
+            "--chrome" => chrome_path = Some(CLI.value(&arg, args.next())),
+            "--prom" => prom_path = Some(CLI.value(&arg, args.next())),
+            "--json" => json_path = Some(CLI.value(&arg, args.next())),
             _ => CLI.bad(&arg, "unknown flag"),
         }
     }
 
     let wall = std::time::Instant::now();
-    let (header, watch_rep, flight, healthy): (String, Option<WatchReport>, FlightLog, bool) =
-        if serve_mode {
-            let cfg = &serve;
-            let rep = serving::run(cfg, engine::global());
-            let header = format!(
-                "=== why: request flight forensics ===\n\
-                 soak serve | requests {} | gpus {} | scheduler {} | seed {:#x}\n",
-                cfg.requests, cfg.gpus, cfg.schedulers[0], cfg.seed,
-            );
-            let healthy = rep.conserved();
-            let run = rep.runs.into_iter().next().expect("one scheduler run");
-            let flight = run.flight.expect("flight plane enabled");
-            (header, run.watch, flight, healthy)
-        } else {
-            let cfg = &storm;
-            let rep = chaos::run(cfg, engine::global());
-            let header = format!(
-                "=== why: request flight forensics ===\n\
-                 soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}\n",
-                cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
-            );
-            let healthy = rep.healthy();
-            let cell = rep
-                .profiles
-                .into_iter()
-                .next()
-                .and_then(|p| p.cells.into_iter().next())
-                .expect("one policy cell");
-            let flight = cell.flight.expect("flight plane enabled");
-            (header, cell.watch, flight, healthy)
-        };
+    let run = soak.run(engine::global());
     let elapsed = wall.elapsed();
+    let watch_rep = run.watch;
+    let flight = run.flight.expect("flight plane enabled");
 
-    print!("{header}");
+    println!("=== why: request flight forensics ===");
+    if soak.serve_mode {
+        let cfg = &soak.serve;
+        println!(
+            "soak serve | requests {} | gpus {} | scheduler {} | seed {:#x}",
+            cfg.requests, cfg.gpus, cfg.schedulers[0], cfg.seed,
+        );
+    } else {
+        let cfg = &soak.storm;
+        println!(
+            "soak chaos | requests {} | days {} | gpus {} | profile {} | policy {} | seed {:#x}",
+            cfg.requests, cfg.days, cfg.gpus, cfg.profiles[0].name, cfg.policies[0], cfg.seed,
+        );
+    }
     println!(
         "flight | window {}ms | worst {} | reservoir {} | seed {:#x}",
         flight.cfg.window.as_nanos() / 1_000_000,
@@ -251,54 +218,24 @@ fn main() {
         // figure. It runs second, so the engine's shape cache is warm
         // for it but cold for the flight-on run — any bias overstates
         // the recorder's overhead, never hides it.
+        let mut off = soak.clone();
+        off.set_flight(None);
         let off_wall = std::time::Instant::now();
-        if serve_mode {
-            let cfg = ServingConfig {
-                flight: None,
-                ..serve
-            };
-            assert!(serving::run(&cfg, engine::global()).conserved());
-        } else {
-            let cfg = ChaosConfig {
-                flight: None,
-                ..storm
-            };
-            assert!(chaos::run(&cfg, engine::global()).healthy());
-        }
+        assert!(off.run(engine::global()).healthy);
         let off_elapsed = off_wall.elapsed();
-        let stats = engine::global().stats();
-        let doc = Json::Obj(vec![
-            (
-                "bench".to_string(),
-                Json::Obj(vec![
-                    ("kept".to_string(), Json::U64(flight.kept_entries)),
-                    (
-                        "store_bound_entries".to_string(),
-                        Json::U64(flight.entry_bound()),
-                    ),
-                    (
-                        "store_peak_bytes".to_string(),
-                        Json::U64(flight.estimated_bytes()),
-                    ),
-                    (
-                        "wall_ms_flight_on".to_string(),
-                        Json::U64(elapsed.as_millis() as u64),
-                    ),
-                    (
-                        "wall_ms_flight_off".to_string(),
-                        Json::U64(off_elapsed.as_millis() as u64),
-                    ),
-                ]),
-            ),
-            ("flight".to_string(), flight.to_json()),
-            ("engine".to_string(), stats.to_json()),
-        ]);
-        cli::write_or_die(&path, &doc.to_string());
+        let bench = [
+            ("kept", flight.kept_entries),
+            ("store_bound_entries", flight.entry_bound()),
+            ("store_peak_bytes", flight.estimated_bytes()),
+            ("wall_ms_flight_on", elapsed.as_millis() as u64),
+            ("wall_ms_flight_off", off_elapsed.as_millis() as u64),
+        ];
+        cli::write_export(&path, &bench, "flight", flight.to_json());
     }
 
     engine::emit_stats();
 
-    if !healthy {
+    if !run.healthy {
         eprintln!("why: underlying soak violated a structural invariant");
         std::process::exit(1);
     }

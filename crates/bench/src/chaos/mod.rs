@@ -34,7 +34,7 @@ use hcc_runtime::{LeakAudit, SimConfig};
 use hcc_trace::Series;
 use hcc_types::calib::TdxCalib;
 use hcc_types::{
-    env_u64, ByteSize, CcMode, LatencyBudget, RecoveryPolicy, SimDuration, SimTime, StormIntensity,
+    ByteSize, CcMode, LatencyBudget, RecoveryPolicy, SimDuration, SimTime, StormIntensity,
     StormProfile, StormSchedule,
 };
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
@@ -47,15 +47,6 @@ use crate::watch::StormContext;
 pub use report::{
     ChaosReport, FaultLedger, PolicyCell, ProfileReport, TenantVerdict, TimeToRecover,
 };
-
-/// Environment variable overriding the master seed.
-pub const SEED_ENV: &str = "HCC_CHAOS_SEED";
-
-/// Environment variable overriding the soak length in virtual days.
-pub const DAYS_ENV: &str = "HCC_CHAOS_DAYS";
-
-/// Environment variable overriding the per-cell request count.
-pub const REQUESTS_ENV: &str = "HCC_CHAOS_REQUESTS";
 
 /// Default master seed.
 pub const DEFAULT_SEED: u64 = 0xC4A0_55ED;
@@ -159,21 +150,6 @@ impl Default for ChaosConfig {
 }
 
 impl ChaosConfig {
-    /// Applies [`SEED_ENV`], [`DAYS_ENV`], and [`REQUESTS_ENV`] overrides.
-    #[must_use]
-    pub fn from_env(mut self) -> Self {
-        if let Some(seed) = env_u64(SEED_ENV) {
-            self.seed = seed;
-        }
-        if let Some(days) = env_u64(DAYS_ENV) {
-            self.days = days.clamp(1, 3650);
-        }
-        if let Some(n) = env_u64(REQUESTS_ENV) {
-            self.requests = n.max(1);
-        }
-        self
-    }
-
     /// The storm-calendar horizon: `days` × [`DAY`].
     #[must_use]
     pub fn horizon(&self) -> SimDuration {

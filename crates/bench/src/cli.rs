@@ -1,16 +1,21 @@
-//! Flag parsing shared by the soak harnesses (`serve`, `chaos`,
-//! `slo_watch`, `why`).
+//! The one command-line front end: every bin that takes arguments reads
+//! them through its [`Cli`] ([`Cli::args`]) and parses each value here.
 //!
 //! Every usage error has one shape: `bin: --flag: <detail>` and then the
-//! bin's usage line on stderr, exit code 2. Integers are decimal or
+//! bin's usage line on stderr, exit code 2. An unknown argument, or a
+//! flag whose value is missing, is such an error. Integers are decimal or
 //! `0x`-prefixed hex ([`hcc_types::parse_u64`]), and a value outside its
 //! flag's range is refused with `<value> out of range [lo, hi]`, never
 //! clamped.
 
 use std::fmt::Display;
 use std::ops::RangeInclusive;
+use std::time::Duration;
 
-use crate::serving::ArrivalKind;
+use hcc_types::json::{Json, ToJson};
+use hcc_types::StormProfile;
+
+use crate::serving::{ArrivalKind, SchedulerKind};
 
 /// `--requests`: request ids are `u32`.
 pub const REQUESTS: RangeInclusive<u64> = 1..=u32::MAX as u64;
@@ -42,6 +47,11 @@ pub struct Cli {
 }
 
 impl Cli {
+    /// The process arguments after the bin name.
+    pub fn args(&self) -> std::iter::Skip<std::env::Args> {
+        std::env::args().skip(1)
+    }
+
     /// Prints the usage line and exits 2.
     pub fn usage(&self) -> ! {
         eprintln!("{}", self.usage);
@@ -80,6 +90,27 @@ impl Cli {
         })
     }
 
+    /// A `--scheduler` policy name.
+    pub fn scheduler(&self, flag: &str, raw: &str) -> SchedulerKind {
+        SchedulerKind::parse(raw).unwrap_or_else(|| {
+            let detail = format!("unknown scheduler {raw:?} (expected fifo|priority|batching)");
+            self.bad(flag, &detail)
+        })
+    }
+
+    /// A storm profile name.
+    pub fn profile(&self, flag: &str, raw: &str) -> StormProfile {
+        StormProfile::by_name(raw.trim()).unwrap_or_else(|| {
+            let known: Vec<&str> = StormProfile::builtin().iter().map(|p| p.name).collect();
+            let detail = format!(
+                "unknown storm profile {:?} (profiles: {})",
+                raw.trim(),
+                known.join(", ")
+            );
+            self.bad(flag, &detail)
+        })
+    }
+
     /// A fractional flag value inside `range`.
     pub fn f64_in(&self, flag: &str, value: Option<String>, range: RangeInclusive<f64>) -> f64 {
         parse_f64_in(&self.value(flag, value), range).unwrap_or_else(|e| self.bad(flag, &e))
@@ -92,6 +123,30 @@ pub fn write_or_die(path: &str, contents: &str) {
         eprintln!("cannot write {path}: {e}");
         std::process::exit(1);
     }
+}
+
+/// Writes a soak harness's `--json` export, `{"bench": {…}, "<key>":
+/// body, "engine": …}`: the wall-clock `bench` figures in the order
+/// given, the report body, then the shared engine's stats.
+pub fn write_export(path: &str, bench: &[(&str, u64)], key: &str, body: Json) {
+    let bench = bench
+        .iter()
+        .map(|&(name, v)| (name.to_string(), Json::U64(v)))
+        .collect();
+    let doc = Json::Obj(vec![
+        ("bench".to_string(), Json::Obj(bench)),
+        (key.to_string(), body),
+        (
+            "engine".to_string(),
+            crate::engine::global().stats().to_json(),
+        ),
+    ]);
+    write_or_die(path, &doc.to_string());
+}
+
+/// `count` items over `elapsed` wall time, as a rounded rate per second.
+pub fn per_sec(count: u64, elapsed: Duration) -> u64 {
+    (count as f64 / elapsed.as_secs_f64().max(1e-9)).round() as u64
 }
 
 /// Parses a decimal or hex integer inside `range`; the error is the

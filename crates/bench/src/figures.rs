@@ -166,12 +166,6 @@ pub mod fig01 {
         }
         super::Computed { data, failures }
     }
-
-    /// Computes the three scenarios on a gemm-class app, rendering any
-    /// failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
-    }
 }
 
 /// Fig. 3: performance-model validation — fitted α/β and prediction
@@ -234,12 +228,6 @@ pub mod fig03 {
             }
         }
         super::Computed { data, failures }
-    }
-
-    /// Fits the model to every standard app in both modes, rendering any
-    /// failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
     }
 }
 
@@ -333,12 +321,6 @@ pub mod fig04a {
             }
         }
         super::Computed { data, failures }
-    }
-
-    /// Measures H2D bandwidth across the sweep, rendering any failures
-    /// as per-row lines.
-    pub fn series() -> Vec<Point> {
-        crate::report::surface(try_series())
     }
 
     /// Peak bandwidth for a (mode, kind) pair from a measured series.
@@ -455,12 +437,6 @@ pub mod fig05 {
         super::Computed { data, failures }
     }
 
-    /// Runs every standard app with explicit copies in both modes,
-    /// rendering any failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
-    }
-
     /// Mean/max/min slowdown over rows (Observation 3's statistics).
     pub fn stats(rows: &[Row]) -> (f64, f64, f64) {
         let ratios: Vec<f64> = rows.iter().map(Row::slowdown).collect();
@@ -572,11 +548,6 @@ pub mod fig06 {
         }
     }
 
-    /// Measures `iters` alloc/free cycles of `size` in one mode.
-    pub fn measure(cc: CcMode, size: ByteSize, iters: u32) -> Times {
-        crate::report::surface(try_measure(cc, size, iters))
-    }
-
     /// The five CC/base ratios, collecting failures from either mode.
     pub fn try_ratios(size: ByteSize, iters: u32) -> super::Computed<[f64; 5]> {
         let base = try_measure(CcMode::Off, size, iters);
@@ -594,12 +565,6 @@ pub mod fig06 {
             ],
             failures,
         }
-    }
-
-    /// The five CC/base ratios (hmalloc, dmalloc, free, managed alloc,
-    /// managed free), rendering any failures as per-row lines.
-    pub fn ratios(size: ByteSize, iters: u32) -> [f64; 5] {
-        crate::report::surface(try_ratios(size, iters))
     }
 }
 
@@ -664,12 +629,6 @@ pub mod fig07 {
             }
         }
         super::Computed { data, failures }
-    }
-
-    /// Runs every multi-launch app in both modes, rendering any failures
-    /// as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
     }
 
     /// Mean (KLO, LQT, KQT) ratios across apps.
@@ -833,12 +792,6 @@ pub mod fig09 {
         }
         super::Computed { data, failures }
     }
-
-    /// Runs the Fig. 9 population in all four configurations, rendering
-    /// any failures as per-row lines.
-    pub fn rows() -> Vec<Row> {
-        crate::report::surface(try_rows())
-    }
 }
 
 /// Fig. 10: launch/kernel event scatter across the app lifetime.
@@ -919,12 +872,6 @@ pub mod fig10 {
             failures,
         }
     }
-
-    /// Event scatter for one app in both modes, rendering any failures
-    /// as per-row lines.
-    pub fn scatter(app: &str) -> Vec<Point> {
-        crate::report::surface(try_scatter(app))
-    }
 }
 
 /// Fig. 11: CDFs of KLO and KET, base vs CC.
@@ -997,12 +944,6 @@ pub mod fig11 {
             ),
             failures,
         }
-    }
-
-    /// Pools every non-UVM app's launches/kernels and builds the CDFs,
-    /// rendering any failures as per-row lines.
-    pub fn klo_and_ket() -> (CdfPair, CdfPair) {
-        crate::report::surface(try_klo_and_ket())
     }
 }
 

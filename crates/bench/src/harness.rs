@@ -36,6 +36,26 @@ const TARGET_SAMPLE: Duration = Duration::from_millis(5);
 /// Iterations handed to a virtual-time closure per sample.
 const VIRTUAL_ITERS: u64 = 8;
 
+/// Environment variable overriding the sample count of every bench and
+/// of the `hotpaths` gate.
+pub const SAMPLES_ENV: &str = "HCC_BENCH_SAMPLES";
+
+/// Largest [`SAMPLES_ENV`] count: a sample buffer of this size is
+/// always allocatable.
+const MAX_SAMPLES: u64 = 10_000;
+
+/// The sample count [`SAMPLES_ENV`] selects, or `default` when it is
+/// unset, unparsable, or zero: every measurement takes at least one
+/// sample, and at most [`MAX_SAMPLES`].
+pub fn samples_from_env(default: usize) -> usize {
+    samples(hcc_types::env_u64(SAMPLES_ENV), default)
+}
+
+fn samples(raw: Option<u64>, default: usize) -> usize {
+    raw.filter(|&n| n > 0)
+        .map_or(default, |n| n.min(MAX_SAMPLES) as usize)
+}
+
 /// Top-level bench runner: owns sample count, filter, and summary state.
 pub struct Runner {
     samples: usize,
@@ -49,11 +69,7 @@ impl Runner {
     /// arguments (`--bench`, passed by `cargo bench`) are ignored; the
     /// first bare argument becomes a substring filter on bench IDs.
     pub fn from_env() -> Self {
-        let samples = std::env::var("HCC_BENCH_SAMPLES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(15);
+        let samples = samples_from_env(15);
         let filter = std::env::args().skip(1).find(|a| !a.starts_with('-'));
         Runner {
             samples,
@@ -215,6 +231,14 @@ pub fn fmt_time(secs: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sample_counts_keep_the_default_for_zero_and_cap_huge_values() {
+        assert_eq!(samples(None, 20), 20);
+        assert_eq!(samples(Some(0), 20), 20);
+        assert_eq!(samples(Some(3), 20), 3);
+        assert_eq!(samples(Some(u64::MAX), 20), 10_000);
+    }
 
     #[test]
     fn fmt_time_picks_units() {

@@ -1,23 +1,9 @@
-//! Small output helpers shared by the figure harnesses: fixed-width
-//! tables on stdout plus optional JSON row dumps.
-
-use std::fmt::Display;
+//! Small output helpers shared by the figure harnesses: section headers,
+//! ratios, and failure lines on stdout.
 
 /// Prints a header followed by a rule line.
 pub fn section(title: &str) {
     println!("\n=== {title} ===");
-}
-
-/// Prints a row of fixed-width cells.
-pub fn row<D: Display>(cells: &[D]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>14}")).collect();
-    println!("{}", line.join(" "));
-}
-
-/// Prints a row with a wide first (label) column.
-pub fn labeled_row<D: Display>(label: &str, cells: &[D]) {
-    let line: Vec<String> = cells.iter().map(|c| format!("{c:>12}")).collect();
-    println!("{label:<16} {}", line.join(" "));
 }
 
 /// Formats a ratio as `x N.NN`.
@@ -38,18 +24,10 @@ pub fn failure_lines(failures: &[crate::engine::ScenarioFailure]) {
     }
 }
 
-/// Renders a [`Computed`](crate::figures::Computed) figure's failure
-/// lines and returns the surviving rows — the module-level `rows()`
-/// wrappers route through here.
-pub fn surface<T>(computed: crate::figures::Computed<T>) -> T {
-    failure_lines(&computed.failures);
-    computed.data
-}
-
 /// The tail call of every figure binary: when any scenario failed, print
 /// a count on stderr and exit nonzero so CI catches partial reports. The
 /// per-row `!! label: error` lines are expected to have been rendered
-/// already (via [`failure_lines`] / [`surface`]).
+/// already (via [`failure_lines`]).
 pub fn exit_on_failures(failures: &[crate::engine::ScenarioFailure]) {
     if failures.is_empty() {
         return;
@@ -59,18 +37,6 @@ pub fn exit_on_failures(failures: &[crate::engine::ScenarioFailure]) {
         eprintln!("  {f}");
     }
     std::process::exit(1);
-}
-
-/// Serializes any [`ToJson`](hcc_types::json::ToJson) rows as a JSON
-/// lines block when the
-/// `HCC_JSON` environment variable is set (for downstream plotting).
-pub fn maybe_json<T: hcc_types::json::ToJson>(name: &str, rows: &[T]) {
-    if std::env::var_os("HCC_JSON").is_none() {
-        return;
-    }
-    for r in rows {
-        println!("JSON {name} {}", r.to_json_string());
-    }
 }
 
 #[cfg(test)]

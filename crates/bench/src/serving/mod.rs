@@ -35,7 +35,7 @@ pub mod scheduler;
 
 use hcc_runtime::SimConfig;
 use hcc_types::calib::TdxCalib;
-use hcc_types::{env_u64, CcMode, FaultPlan, RecoveryPolicy, SimTime};
+use hcc_types::{CcMode, FaultPlan, RecoveryPolicy, SimTime};
 use hcc_workloads::{default_tenants, Scenario, TenantSpec};
 
 use crate::engine::ExperimentEngine;
@@ -44,12 +44,6 @@ use crate::soak::{ShapeTable, SoakCell, WatchPlane};
 pub use arrival::{ArrivalKind, ArrivalProcess, Request};
 pub use report::{ModeRun, SchedulerRun, ServingReport, TenantStats};
 pub use scheduler::SchedulerKind;
-
-/// Environment variable overriding the arrival-stream seed.
-pub const SEED_ENV: &str = "HCC_SERVE_SEED";
-
-/// Environment variable overriding the request count.
-pub const REQUESTS_ENV: &str = "HCC_SERVE_REQUESTS";
 
 /// Default arrival seed (distinct from the shape seed so the two streams
 /// never alias).
@@ -124,17 +118,6 @@ impl Default for ServingConfig {
 }
 
 impl ServingConfig {
-    /// Applies [`SEED_ENV`] and [`REQUESTS_ENV`] overrides.
-    pub fn from_env(mut self) -> Self {
-        if let Some(seed) = env_u64(SEED_ENV) {
-            self.seed = seed;
-        }
-        if let Some(n) = env_u64(REQUESTS_ENV) {
-            self.requests = n.max(1);
-        }
-        self
-    }
-
     /// The `SimConfig` every shape scenario runs under in `cc` mode.
     pub fn shape_cfg(&self, cc: CcMode) -> SimConfig {
         let mut cfg = SimConfig::new(cc).with_seed(self.shape_seed);

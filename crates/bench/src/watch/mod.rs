@@ -30,6 +30,9 @@ use hcc_types::{
     env_u64, BurnPair, LatencyBudget, SimDuration, SimTime, StormIntensity, StormSchedule,
 };
 
+use crate::cli::Cli;
+use crate::engine::ExperimentEngine;
+
 pub use report::{Incident, IncidentBlame, IncidentStorm, TenantBurn, WatchReport, WindowRow};
 
 /// Environment variable overriding the fast-window width, in virtual
@@ -76,20 +79,35 @@ impl Default for WatchConfig {
     }
 }
 
+/// Largest [`SLOW_FACTOR_ENV`] value.
+const MAX_SLOW_FACTOR: u64 = 1_000;
+
+/// Largest [`FAST_MS_ENV`] value: the widest fast window whose slow
+/// partner (at most [`MAX_SLOW_FACTOR`] times wider) still fits the
+/// nanosecond virtual clock, about 213 days.
+const MAX_FAST_MS: u64 = u64::MAX / 1_000_000 / MAX_SLOW_FACTOR;
+
 impl WatchConfig {
     /// Applies the `HCC_WATCH_*` environment overrides.
     #[must_use]
-    pub fn from_env(mut self) -> Self {
-        if let Some(ms) = env_u64(FAST_MS_ENV) {
-            self.fast = SimDuration::millis(ms.max(1));
+    pub fn from_env(self) -> Self {
+        self.with_overrides(env_u64)
+    }
+
+    /// Applies the overrides `var` yields, each clamped into its knob's
+    /// range; the fast width is clamped before it is scaled to
+    /// nanoseconds, so no value can overflow the virtual clock.
+    fn with_overrides(mut self, var: impl Fn(&str) -> Option<u64>) -> Self {
+        if let Some(ms) = var(FAST_MS_ENV) {
+            self.fast = SimDuration::millis(ms.clamp(1, MAX_FAST_MS));
         }
-        if let Some(f) = env_u64(SLOW_FACTOR_ENV) {
-            self.slow_factor = f.clamp(1, 1_000) as u32;
+        if let Some(f) = var(SLOW_FACTOR_ENV) {
+            self.slow_factor = f.clamp(1, MAX_SLOW_FACTOR) as u32;
         }
-        if let Some(m) = env_u64(BURN_ENV) {
+        if let Some(m) = var(BURN_ENV) {
             self.threshold_milli = m.max(1);
         }
-        if let Some(m) = env_u64(ANOMALY_ENV) {
+        if let Some(m) = var(ANOMALY_ENV) {
             self.anomaly_milli = m.max(1);
         }
         self
@@ -137,6 +155,107 @@ pub fn calm_soak() -> crate::serving::ServingConfig {
         schedulers: vec![crate::serving::SchedulerKind::Fifo],
         watch: Some(WatchConfig::default()),
         ..crate::serving::ServingConfig::default()
+    }
+}
+
+/// The two canonical watch soaks as one driver, shared by `slo_watch`
+/// and `why`: `--serve` picks the calm one, and the sizing flags both
+/// bins take are mirrored onto both configs.
+#[derive(Debug, Clone)]
+pub struct WatchSoak {
+    /// The calm soak ([`calm_soak`]).
+    pub serve: crate::serving::ServingConfig,
+    /// The stormy soak ([`stormy_soak`]).
+    pub storm: crate::chaos::ChaosConfig,
+    /// `true` when `--serve` picked the calm soak.
+    pub serve_mode: bool,
+}
+
+/// What a [`WatchSoak`] run leaves: the first cell's planes and the
+/// soak's structural health.
+#[derive(Debug)]
+pub struct WatchRun {
+    /// The first cell's watch report.
+    pub watch: Option<WatchReport>,
+    /// The first cell's flight log, when the flight plane was on.
+    pub flight: Option<hcc_trace::FlightLog>,
+    /// Conservation held (calm soak), or the chaos report is healthy.
+    pub healthy: bool,
+}
+
+impl WatchSoak {
+    /// Both soaks, the stormy one picked, the watch plane on with its
+    /// `HCC_WATCH_*` overrides applied.
+    #[must_use]
+    pub fn new() -> Self {
+        let mut soak = WatchSoak {
+            serve: calm_soak(),
+            storm: stormy_soak(),
+            serve_mode: false,
+        };
+        soak.serve.watch = Some(WatchConfig::default().from_env());
+        soak.storm.watch = soak.serve.watch;
+        soak
+    }
+
+    /// Sets the flight plane of both soaks.
+    pub fn set_flight(&mut self, flight: Option<hcc_trace::FlightConfig>) {
+        (self.serve.flight, self.storm.flight) = (flight, flight);
+    }
+
+    /// Applies `arg` when it is one of the shared flags (`--serve`,
+    /// `--requests`, `--days`, `--gpus`, `--seed`), taking its value from
+    /// `args`; `false` when it is not one of them.
+    pub fn flag(&mut self, cli: &Cli, arg: &str, args: &mut impl Iterator<Item = String>) -> bool {
+        match arg {
+            "--serve" => self.serve_mode = true,
+            "--requests" => {
+                self.serve.requests = cli.u64_in(arg, args.next(), crate::cli::REQUESTS);
+                self.storm.requests = self.serve.requests;
+            }
+            "--days" => self.storm.days = cli.u64_in(arg, args.next(), crate::cli::DAYS),
+            "--gpus" => {
+                self.serve.gpus = cli.u64_in(arg, args.next(), crate::cli::GPUS) as usize;
+                self.storm.gpus = self.serve.gpus;
+            }
+            "--seed" => {
+                self.serve.seed = cli.u64(arg, args.next());
+                self.storm.seed = self.serve.seed;
+            }
+            _ => return false,
+        }
+        true
+    }
+
+    /// Runs the picked soak.
+    pub fn run(&self, engine: &ExperimentEngine) -> WatchRun {
+        let (planes, healthy) = if self.serve_mode {
+            let rep = crate::serving::run(&self.serve, engine);
+            let healthy = rep.conserved();
+            let planes = rep.runs.into_iter().next().map(|r| (r.watch, r.flight));
+            (planes, healthy)
+        } else {
+            let rep = crate::chaos::run(&self.storm, engine);
+            let healthy = rep.healthy();
+            let cell = rep
+                .profiles
+                .into_iter()
+                .next()
+                .and_then(|p| p.cells.into_iter().next());
+            (cell.map(|c| (c.watch, c.flight)), healthy)
+        };
+        let (watch, flight) = planes.unwrap_or((None, None));
+        WatchRun {
+            watch,
+            flight,
+            healthy,
+        }
+    }
+}
+
+impl Default for WatchSoak {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -626,5 +745,27 @@ mod tests {
         let b = observe(&cfg(), &view);
         assert_eq!(a.render(), b.render());
         assert_eq!(a.to_prometheus(), b.to_prometheus());
+    }
+
+    #[test]
+    fn env_window_widths_clamp_before_scaling_to_nanoseconds() {
+        // 2^58 ms overflows the nanosecond clock 2^18-fold.
+        for ms in [288_230_376_151_711_744, u64::MAX] {
+            let cfg = WatchConfig::default()
+                .with_overrides(|var| [FAST_MS_ENV, SLOW_FACTOR_ENV].contains(&var).then_some(ms));
+            assert_eq!(cfg.fast, SimDuration::millis(MAX_FAST_MS));
+            assert_eq!(u64::from(cfg.slow_factor), MAX_SLOW_FACTOR);
+            // The widest slow window still fits: this multiply is checked
+            // in test builds.
+            assert!(cfg.pair().slow() >= cfg.fast);
+        }
+        let floor = WatchConfig::default().with_overrides(|_| Some(0));
+        assert_eq!(floor.fast, SimDuration::millis(1));
+        assert_eq!(floor.slow_factor, 1);
+        assert_eq!((floor.threshold_milli, floor.anomaly_milli), (1, 1));
+        assert_eq!(
+            WatchConfig::default().with_overrides(|_| None),
+            WatchConfig::default()
+        );
     }
 }

@@ -66,17 +66,24 @@ impl FlightConfig {
     /// Applies `HCC_FLIGHT_WINDOW_MS`, `HCC_FLIGHT_WORST`,
     /// `HCC_FLIGHT_RESERVOIR`, and `HCC_FLIGHT_SEED` overrides.
     #[must_use]
-    pub fn from_env(mut self) -> Self {
-        if let Some(ms) = env_u64("HCC_FLIGHT_WINDOW_MS") {
-            self.window = SimDuration::millis(ms.max(1));
+    pub fn from_env(self) -> Self {
+        self.with_overrides(env_u64)
+    }
+
+    /// Applies the overrides `var` yields, each clamped into its knob's
+    /// range; the window is clamped before it is scaled to nanoseconds,
+    /// so no value can overflow the virtual clock.
+    fn with_overrides(mut self, var: impl Fn(&str) -> Option<u64>) -> Self {
+        if let Some(ms) = var("HCC_FLIGHT_WINDOW_MS") {
+            self.window = SimDuration::millis(ms.clamp(1, u64::MAX / 1_000_000));
         }
-        if let Some(k) = env_u64("HCC_FLIGHT_WORST") {
+        if let Some(k) = var("HCC_FLIGHT_WORST") {
             self.worst = k.min(1024) as usize;
         }
-        if let Some(r) = env_u64("HCC_FLIGHT_RESERVOIR") {
+        if let Some(r) = var("HCC_FLIGHT_RESERVOIR") {
             self.reservoir = r.min(1024) as usize;
         }
-        if let Some(s) = env_u64("HCC_FLIGHT_SEED") {
+        if let Some(s) = var("HCC_FLIGHT_SEED") {
             self.seed = s;
         }
         self
@@ -737,6 +744,25 @@ mod tests {
             cold: true,
             rejected: false,
         }
+    }
+
+    #[test]
+    fn env_window_width_clamps_before_scaling_to_nanoseconds() {
+        // 2^58 ms overflows the nanosecond clock 2^18-fold.
+        for ms in [288_230_376_151_711_744, u64::MAX] {
+            let cfg = FlightConfig::default()
+                .with_overrides(|var| (var == "HCC_FLIGHT_WINDOW_MS").then_some(ms));
+            assert_eq!(cfg.window, SimDuration::millis(u64::MAX / 1_000_000));
+        }
+        let floor = FlightConfig::default().with_overrides(|_| Some(0));
+        assert_eq!(floor.window, SimDuration::millis(1));
+        assert_eq!((floor.worst, floor.reservoir, floor.seed), (0, 0, 0));
+        let cap = FlightConfig::default().with_overrides(|_| Some(u64::MAX));
+        assert_eq!((cap.worst, cap.reservoir), (1024, 1024));
+        assert_eq!(
+            FlightConfig::default().with_overrides(|_| None),
+            FlightConfig::default()
+        );
     }
 
     fn decomp_for(shape_us: u64) -> ShapeDecomp {

@@ -235,18 +235,27 @@ fi
 
 echo "tier-2: OK (serving: $rps req/s wall-clock, $simulated shapes simulated for 2 x $distinct distinct)"
 
-# Tier-2 usage smoke: an out-of-range flag is refused with a one-line
-# diagnostic and exit code 2, never silently clamped into range.
-echo "==> tier-2: out-of-range flags give a usage error"
-status=0
-./target/release/serve --gpus 0 >/dev/null 2>"$t2_dir/usage.err" || status=$?
-if [ "$status" -ne 2 ] \
-    || ! grep -q "^serve: --gpus: 0 out of range \[1, 1024\]$" "$t2_dir/usage.err"; then
-    echo "tier-2: FAIL — serve --gpus 0 exited $status, expected a usage error (exit 2)" >&2
-    exit 1
-fi
+# Tier-2 usage smoke: every bin parses through hcc_bench::cli, so an
+# out-of-range value, a flag with its value missing, and an unknown flag
+# are each refused with a one-line `bin: --flag: detail` diagnostic and
+# exit code 2, never clamped, ignored, or run with a default.
+echo "==> tier-2: bad flags give a usage error"
+usage_error() {
+    expected=$1
+    shift
+    status=0
+    "$@" >/dev/null 2>"$t2_dir/usage.err" || status=$?
+    if [ "$status" -ne 2 ] || ! grep -qxF "$expected" "$t2_dir/usage.err"; then
+        echo "tier-2: FAIL — $* exited $status, expected usage error '$expected' (exit 2)" >&2
+        exit 1
+    fi
+}
+usage_error "serve: --gpus: 0 out of range [1, 1024]" ./target/release/serve --gpus 0
+usage_error "serve: --json: missing value" ./target/release/serve --requests 1000 --json
+usage_error "summary: --bogus: unknown flag" ./target/release/summary --bogus
+usage_error "hcc_lab: --ccc: unknown flag" ./target/release/hcc_lab run gemm --ccc
 
-echo "tier-2: OK (serve --gpus 0 refused with exit 2)"
+echo "tier-2: OK (out-of-range, valueless, and unknown flags refused with exit 2)"
 
 # Tier-2 hot-path wall-clock gate: full-suite scenarios/sec must stay
 # within the 30% regression budget of the committed BENCH_hotpaths.json

@@ -8,11 +8,18 @@ use hcc::ml::llm::{Backend, LlmConfig, LlmEstimator, LlmPrecision};
 use hcc::trace::geomean;
 use hcc::types::calib::paper;
 use hcc::types::{ByteSize, CcMode, CpuModel, HostMemKind, SimDuration};
-use hcc_bench::figures::{fig04a, fig05, fig07, fig09, fig12};
+use hcc_bench::figures::{fig04a, fig05, fig07, fig09, fig12, Computed};
+
+/// A figure's data, once every scenario behind it ran: a failed scenario
+/// would silently shrink the population the checks assert over.
+fn complete<T>(computed: Computed<T>) -> T {
+    assert!(computed.is_complete(), "failed: {:?}", computed.failures);
+    computed.data
+}
 
 #[test]
 fn observation_1_bandwidth_collapse_and_pinned_demotion() {
-    let pts = fig04a::series();
+    let pts = complete(fig04a::try_series());
     let check = obs::obs1_bandwidth(
         fig04a::peak(&pts, CcMode::Off, HostMemKind::Pinned),
         fig04a::peak(&pts, CcMode::Off, HostMemKind::Pageable),
@@ -37,7 +44,7 @@ fn observation_2_crypto_cannot_feed_the_link() {
     let ghash = emr
         .throughput(hcc::crypto::CryptoAlgorithm::Ghash)
         .as_gb_per_s();
-    let pts = fig04a::series();
+    let pts = complete(fig04a::try_series());
     let base_pcie = fig04a::peak(&pts, CcMode::Off, HostMemKind::Pinned);
     let check = obs::obs2_crypto(gcm, ghash, base_pcie);
     assert!(check.holds, "{check}");
@@ -45,7 +52,7 @@ fn observation_2_crypto_cannot_feed_the_link() {
 
 #[test]
 fn observation_3_copy_slowdowns() {
-    let rows = fig05::rows();
+    let rows = complete(fig05::try_rows());
     let ratios: Vec<f64> = rows.iter().map(fig05::Row::slowdown).collect();
     let check = obs::obs3_copy(&ratios);
     assert!(check.holds, "{check}");
@@ -53,7 +60,7 @@ fn observation_3_copy_slowdowns() {
 
 #[test]
 fn observation_4_launch_path_slowdowns() {
-    let rows = fig07::rows();
+    let rows = complete(fig07::try_rows());
     let (klo, lqt, kqt) = fig07::means(&rows);
     let check = obs::obs4_launch(klo, lqt, kqt);
     assert!(check.holds, "{check}");
@@ -61,7 +68,7 @@ fn observation_4_launch_path_slowdowns() {
 
 #[test]
 fn observation_5_ket_split() {
-    let rows = fig09::rows();
+    let rows = complete(fig09::try_rows());
     let nonuvm: Vec<f64> = rows.iter().map(fig09::Row::nonuvm_ratio).collect();
     let uvm_cc: Vec<f64> = rows.iter().map(fig09::Row::uvm_cc_slowdown).collect();
     let check = obs::obs5_ket(hcc::trace::mean_ratio(&nonuvm), geomean(&uvm_cc));

@@ -6,7 +6,14 @@ use hcc::prelude::*;
 use hcc::runtime::KernelDesc;
 use hcc::trace::KernelId;
 use hcc::workloads::{runner, suites};
-use hcc_bench::figures::{fig01, fig03, fig04b, fig06, fig11, fig13, fig14};
+use hcc_bench::figures::{fig01, fig03, fig04b, fig06, fig11, fig13, fig14, Computed};
+
+/// A figure's data, once every scenario behind it ran: a failed scenario
+/// would silently shrink the population the checks assert over.
+fn complete<T>(computed: Computed<T>) -> T {
+    assert!(computed.is_complete(), "failed: {:?}", computed.failures);
+    computed.data
+}
 
 #[test]
 fn identical_seeds_reproduce_identical_traces_across_the_suite() {
@@ -34,7 +41,7 @@ fn different_seeds_differ_but_preserve_structure() {
 
 #[test]
 fn model_explains_every_app_within_tolerance() {
-    for row in fig03::rows() {
+    for row in complete(fig03::try_rows()) {
         assert!(
             row.error < 0.15,
             "{} [{}]: model error {:.1}%",
@@ -47,7 +54,7 @@ fn model_explains_every_app_within_tolerance() {
 
 #[test]
 fn overview_breakdown_ranks_scenarios() {
-    let rows = fig01::rows();
+    let rows = complete(fig01::try_rows());
     assert_eq!(rows.len(), 3);
     // CC-on is slower than CC-off; CC+UVM kernel phase dwarfs both.
     assert!(rows[1].breakdown.span > rows[0].breakdown.span);
@@ -74,7 +81,7 @@ fn fig04b_table_is_complete_and_ordered() {
 
 #[test]
 fn fig06_ratios_track_the_paper() {
-    let r = fig06::ratios(ByteSize::mib(64), 30);
+    let r = complete(fig06::try_ratios(ByteSize::mib(64), 30));
     let targets = [5.72, 5.67, 10.54, 5.43, 3.35];
     for (got, want) in r.iter().zip(targets.iter()) {
         assert!(
@@ -86,7 +93,7 @@ fn fig06_ratios_track_the_paper() {
 
 #[test]
 fn fig11_cdfs_shift_right_under_cc() {
-    let (klo, ket) = fig11::klo_and_ket();
+    let (klo, ket) = complete(fig11::try_klo_and_ket());
     // KLO distribution shifts right under CC...
     assert!(klo.cc.quantile(0.5) > klo.base.quantile(0.5));
     assert!(klo.cc.mean() > klo.base.mean());
