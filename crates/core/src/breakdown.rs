@@ -154,6 +154,7 @@ mod tests {
                 bytes: ByteSize::mib(1),
                 mem: HostMemKind::Pageable,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             t(10 * scale),
             t(40 * scale),
@@ -175,6 +176,7 @@ mod tests {
                 EventKind::Kernel {
                     kernel: KernelId(0),
                     uvm: false,
+                    wait: SimDuration::ZERO,
                 },
                 t(48 * scale),
                 t(148 * scale),

@@ -198,6 +198,7 @@ mod tests {
                 bytes: hcc_types::ByteSize::mib(1),
                 mem: hcc_types::HostMemKind::Pageable,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             t(0),
             t(30),
@@ -219,6 +220,7 @@ mod tests {
                 EventKind::Kernel {
                     kernel: KernelId(0),
                     uvm: false,
+                    wait: SimDuration::ZERO,
                 },
                 t(36),
                 t(136),
@@ -242,6 +244,7 @@ mod tests {
                 bytes: hcc_types::ByteSize::mib(1),
                 mem: hcc_types::HostMemKind::Pinned,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             t(0),
             t(100),
@@ -251,6 +254,7 @@ mod tests {
                 EventKind::Kernel {
                     kernel: KernelId(0),
                     uvm: false,
+                    wait: SimDuration::ZERO,
                 },
                 t(0),
                 t(200),

@@ -41,7 +41,7 @@ mod memory;
 
 pub use cp::{CommandProcessor, Submission};
 pub use device::{CopySchedule, EngineReport, GpuDevice, KernelSchedule};
-pub use engine::{EngineMetrics, MultiSlot, Resource, Slot};
+pub use engine::{MultiSlot, Resource, Slot};
 pub use gmmu::{Gmmu, GmmuError, ManagedId, Residency};
 pub use memory::{DeviceMemError, DeviceMemory, DevicePtr};
 

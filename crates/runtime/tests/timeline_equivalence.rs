@@ -111,7 +111,7 @@ fn ref_launch_metrics(events: &[TraceEvent]) -> LaunchMetrics {
                 first: *first,
                 correlation: e.correlation,
             }),
-            EventKind::Kernel { kernel, uvm } => kernels.push(KernelRecord {
+            EventKind::Kernel { kernel, uvm, .. } => kernels.push(KernelRecord {
                 kernel: *kernel,
                 start: e.start,
                 ket: e.duration(),
@@ -280,6 +280,7 @@ fn build_timeline(raw: &[(u8, u64, u64, u64)]) -> Timeline {
             1 => EventKind::Kernel {
                 kernel: KernelId((corr % 5) as u32),
                 uvm: corr % 3 == 0,
+                wait: SimDuration::ZERO,
             },
             2 => EventKind::Sync,
             _ => EventKind::Memcpy {
@@ -291,6 +292,7 @@ fn build_timeline(raw: &[(u8, u64, u64, u64)]) -> Timeline {
                 bytes: ByteSize::bytes(dur),
                 mem: HostMemKind::Pageable,
                 managed: corr % 4 == 0,
+                submitted: SimTime::ZERO,
             },
         };
         tl.push(

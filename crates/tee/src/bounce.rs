@@ -2,9 +2,8 @@
 //! every CC DMA transfer must ride through (paper Sec. II-A / VI-A).
 
 use hcc_trace::causal::{CausalEdge, EdgeKind, EventId};
-use hcc_trace::metrics::{Gauge, MetricsSet};
 use hcc_types::calib::TdxCalib;
-use hcc_types::{ByteSize, CcMode, FaultInjector, FaultSite, Recovery, SimDuration, SimTime};
+use hcc_types::{ByteSize, CcMode, FaultInjector, FaultSite, Recovery, SimDuration};
 
 use crate::td::TdContext;
 
@@ -106,7 +105,6 @@ pub struct BounceBufferPool {
     cold_reservations: u64,
     reserved_bytes: ByteSize,
     released_bytes: ByteSize,
-    occupancy: Gauge,
 }
 
 /// Conversion granularity: TDX shared/private attributes are 4 KiB.
@@ -123,33 +121,6 @@ impl BounceBufferPool {
             cold_reservations: 0,
             reserved_bytes: ByteSize::ZERO,
             released_bytes: ByteSize::ZERO,
-            occupancy: Gauge::new(),
-        }
-    }
-
-    /// Enables the occupancy gauge (sampled via
-    /// [`BounceBufferPool::record_occupancy`]).
-    pub fn enable_metrics(&mut self) {
-        self.occupancy.enable();
-    }
-
-    /// Records that a reservation of `size` bytes held pool space over
-    /// `[from, to)` of virtual time. The pool itself has no clock — its
-    /// reserve/release bookkeeping is instantaneous — so the caller, who
-    /// placed the staging window on the timeline, reports it.
-    pub fn record_occupancy(&mut self, from: SimTime, to: SimTime, size: ByteSize) {
-        self.occupancy
-            .occupy_n(from, to, i64::try_from(size.as_u64()).unwrap_or(i64::MAX));
-    }
-
-    /// Snapshots pool instruments under the `tee.bounce.` prefix (no-op
-    /// while metrics are disabled).
-    pub fn export_metrics(&self, set: &mut MetricsSet) {
-        set.gauge("tee.bounce.occupancy", &self.occupancy);
-        if self.occupancy.is_enabled() {
-            set.push_counter("tee.bounce.reservations", self.reservations);
-            set.push_counter("tee.bounce.cold_reservations", self.cold_reservations);
-            set.push_counter("tee.bounce.capacity", self.capacity.as_u64());
         }
     }
 
@@ -378,30 +349,6 @@ mod tests {
         let r = pool.reserve(&mut vm, ByteSize::mib(16)).unwrap();
         assert_eq!(r.cost, SimDuration::ZERO);
         assert_eq!(pool.in_use(), ByteSize::ZERO);
-    }
-
-    #[test]
-    fn occupancy_metrics_track_reported_windows() {
-        let mut td = td_on();
-        let mut pool = BounceBufferPool::new(ByteSize::mib(8));
-        pool.enable_metrics();
-        let t = |us| SimTime::ZERO + SimDuration::micros(us);
-        pool.reserve(&mut td, ByteSize::mib(4)).unwrap();
-        pool.record_occupancy(t(0), t(10), ByteSize::mib(4));
-        pool.release(ByteSize::mib(4));
-
-        let mut set = MetricsSet::new();
-        pool.export_metrics(&mut set);
-        let occ = set.gauge_series("tee.bounce.occupancy").unwrap();
-        assert_eq!(occ.peak(), ByteSize::mib(4).as_u64() as i64);
-        assert_eq!(occ.final_value(), 0);
-        assert_eq!(set.counter_total("tee.bounce.reservations"), Some(1));
-
-        // Disabled pools export nothing.
-        let silent = BounceBufferPool::new(ByteSize::mib(8));
-        let mut empty = MetricsSet::new();
-        silent.export_metrics(&mut empty);
-        assert!(empty.counters.is_empty() && empty.gauges.is_empty());
     }
 
     #[test]

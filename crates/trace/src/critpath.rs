@@ -650,10 +650,12 @@ mod tests {
                 bytes,
                 mem: HostMemKind::Pageable,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             5 => EventKind::Crypto {
                 bytes,
                 encrypt: true,
+                wait: SimDuration::ZERO,
             },
             6 => EventKind::BounceReserve {
                 bytes,
@@ -665,6 +667,7 @@ mod tests {
             8 => EventKind::Kernel {
                 kernel: KernelId(0),
                 uvm: false,
+                wait: SimDuration::ZERO,
             },
             9 => EventKind::UvmFault {
                 kernel: KernelId(0),
@@ -754,6 +757,7 @@ mod tests {
             EventKind::Kernel {
                 kernel: KernelId(id),
                 uvm: false,
+                wait: SimDuration::ZERO,
             },
             t(start),
             t(end),
@@ -793,6 +797,7 @@ mod tests {
                 bytes: ByteSize::mib(1),
                 mem: HostMemKind::Pageable,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             t(0),
             t(100),
@@ -801,6 +806,7 @@ mod tests {
             EventKind::Crypto {
                 bytes: ByteSize::mib(1),
                 encrypt: true,
+                wait: SimDuration::ZERO,
             },
             t(10),
             t(40),
@@ -880,6 +886,7 @@ mod tests {
                 bytes: ByteSize::mib(1),
                 mem: HostMemKind::Pageable,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             t(0),
             t(60),

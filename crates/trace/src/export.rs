@@ -45,7 +45,7 @@ fn name_of(event: &TraceEvent) -> String {
                 format!("cudaLaunchKernel({kernel})")
             }
         }
-        EventKind::Kernel { kernel, uvm } => {
+        EventKind::Kernel { kernel, uvm, .. } => {
             if *uvm {
                 format!("{kernel} [uvm]")
             } else {
@@ -71,7 +71,7 @@ fn name_of(event: &TraceEvent) -> String {
         },
         EventKind::Free { space, bytes } => format!("cudaFree[{space}] {bytes}"),
         EventKind::Sync => "cudaDeviceSynchronize".to_string(),
-        EventKind::Crypto { bytes, encrypt } => {
+        EventKind::Crypto { bytes, encrypt, .. } => {
             if *encrypt {
                 format!("AES-GCM encrypt {bytes}")
             } else {
@@ -329,6 +329,7 @@ mod tests {
                 EventKind::Kernel {
                     kernel: KernelId(0),
                     uvm: false,
+                    wait: SimDuration::ZERO,
                 },
                 t(8),
                 t(108),
@@ -341,6 +342,7 @@ mod tests {
                 bytes: ByteSize::mib(1),
                 mem: HostMemKind::Pageable,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             t(110),
             t(140),

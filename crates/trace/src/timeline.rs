@@ -97,7 +97,7 @@ impl Timeline {
                     correlation: e.correlation,
                 });
             }
-            EventKind::Kernel { kernel, uvm } => {
+            EventKind::Kernel { kernel, uvm, .. } => {
                 self.kernels.push(KernelRecord {
                     kernel: *kernel,
                     start: e.start,
@@ -634,6 +634,7 @@ mod tests {
                 EventKind::Kernel {
                     kernel: KernelId(0),
                     uvm: false,
+                    wait: SimDuration::ZERO,
                 },
                 t(18),
                 t(118),
@@ -648,6 +649,7 @@ mod tests {
                 bytes: ByteSize::mib(1),
                 mem: HostMemKind::Pageable,
                 managed: false,
+                submitted: SimTime::ZERO,
             },
             t(120),
             t(150),
@@ -702,6 +704,7 @@ mod tests {
                 EventKind::Kernel {
                     kernel: KernelId(1),
                     uvm: false,
+                    wait: SimDuration::ZERO,
                 },
                 t(0),
                 t(5),

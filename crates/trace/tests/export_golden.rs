@@ -53,6 +53,7 @@ fn fixture() -> (Timeline, MetricsSet) {
         EventKind::Crypto {
             bytes: ByteSize::mib(1),
             encrypt: true,
+            wait: SimDuration::ZERO,
         },
         t(4),
         t(24),
@@ -63,6 +64,7 @@ fn fixture() -> (Timeline, MetricsSet) {
             bytes: ByteSize::mib(1),
             mem: HostMemKind::Pinned,
             managed: true,
+            submitted: SimTime::ZERO,
         },
         t(24),
         t(40),
@@ -72,6 +74,7 @@ fn fixture() -> (Timeline, MetricsSet) {
             EventKind::Kernel {
                 kernel: KernelId(0),
                 uvm: true,
+                wait: SimDuration::ZERO,
             },
             t(40),
             t(140),

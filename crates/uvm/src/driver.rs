@@ -3,9 +3,8 @@
 use hcc_gpu::{Gmmu, GmmuError, ManagedId};
 use hcc_tee::TdContext;
 use hcc_trace::causal::{CausalEdge, EdgeKind, EventId};
-use hcc_trace::metrics::{Gauge, MetricsSet};
 use hcc_types::calib::UvmCalib;
-use hcc_types::{ByteSize, CcMode, FaultInjector, FaultSite, Recovery, SimDuration, SimTime};
+use hcc_types::{ByteSize, CcMode, FaultInjector, FaultSite, Recovery, SimDuration};
 
 /// Errors from UVM driver operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,8 +122,6 @@ pub struct UvmDriver {
     /// counter: must equal `stats.pages_migrated` after every access —
     /// the batch-splitting loops may drop or double-count no page.
     pages_batched: u64,
-    outstanding: Gauge,
-    backlog: Gauge,
 }
 
 impl UvmDriver {
@@ -135,48 +132,6 @@ impl UvmDriver {
             cc,
             stats: UvmStats::default(),
             pages_batched: 0,
-            outstanding: Gauge::new(),
-            backlog: Gauge::new(),
-        }
-    }
-
-    /// Enables the outstanding-fault and migration-backlog gauges
-    /// (sampled via [`UvmDriver::record_service`]).
-    pub fn enable_metrics(&mut self) {
-        self.outstanding.enable();
-        self.backlog.enable();
-    }
-
-    /// Records the virtual-time placement of a serviced access: batches
-    /// run serially starting at `at`, so batch *i*'s pages stay
-    /// outstanding until its completion and the batch itself queues in
-    /// the driver's backlog until its start. The driver computes
-    /// durations but never sees the clock — the caller, who placed the
-    /// service on the timeline, reports `at`.
-    pub fn record_service(&mut self, at: SimTime, service: &FaultService) {
-        let mut cursor = at;
-        for batch in &service.batches {
-            self.backlog.occupy(at, cursor);
-            let done = cursor + batch.time;
-            self.outstanding
-                .occupy_n(at, done, i64::try_from(batch.pages).unwrap_or(i64::MAX));
-            cursor = done;
-        }
-    }
-
-    /// Snapshots driver instruments under the `uvm.` prefix (no-op while
-    /// metrics are disabled).
-    pub fn export_metrics(&self, set: &mut MetricsSet) {
-        set.gauge("uvm.outstanding_faults", &self.outstanding);
-        set.gauge("uvm.migration_backlog", &self.backlog);
-        if self.outstanding.is_enabled() {
-            set.push_counter("uvm.faults", self.stats.faults);
-            set.push_counter("uvm.pages_migrated", self.stats.pages_migrated);
-            set.push_counter("uvm.bytes_migrated", self.stats.bytes_migrated.as_u64());
-            set.push_counter(
-                "uvm.batches",
-                self.stats.fault_batches + self.stats.prefetch_batches,
-            );
         }
     }
 
@@ -556,35 +511,6 @@ mod tests {
         assert_eq!(s.pages, 0);
         assert!(rec.is_clean());
         assert_eq!(inj.counts().injected, 0);
-    }
-
-    #[test]
-    fn metrics_track_outstanding_pages_and_backlog() {
-        let (mut drv, mut gmmu, mut td, id) = setup(CcMode::On);
-        drv.enable_metrics();
-        let svc = drv.service_access(&mut gmmu, &mut td, id, 0, 256).unwrap();
-        assert!(svc.batches.len() > 1, "need several batches for a backlog");
-        let at = SimTime::from_nanos(1_000);
-        drv.record_service(at, &svc);
-
-        let mut set = MetricsSet::new();
-        drv.export_metrics(&mut set);
-        let out = set.gauge_series("uvm.outstanding_faults").unwrap();
-        assert_eq!(
-            out.peak(),
-            svc.pages as i64,
-            "all pages outstanding at start"
-        );
-        assert_eq!(out.final_value(), 0);
-        let backlog = set.gauge_series("uvm.migration_backlog").unwrap();
-        assert_eq!(backlog.peak(), svc.batches.len() as i64 - 1);
-        assert_eq!(set.counter_total("uvm.pages_migrated"), Some(256));
-
-        // Disabled drivers export nothing.
-        let (silent, ..) = setup(CcMode::On);
-        let mut empty = MetricsSet::new();
-        silent.export_metrics(&mut empty);
-        assert!(empty.counters.is_empty() && empty.gauges.is_empty());
     }
 
     #[test]
