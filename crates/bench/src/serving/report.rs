@@ -30,16 +30,19 @@ pub struct TenantStats {
     pub latency: Cdf,
     /// Queueing-wait CDF (arrival → dispatch), completed only.
     pub wait: Cdf,
-    /// Σ (completion − arrival) over completed requests.
-    pub latency_total: SimDuration,
-    /// Σ (dispatch − arrival) over completed requests.
-    pub wait_total: SimDuration,
-    /// Σ (completion − dispatch) over completed requests.
-    pub service_total: SimDuration,
-    /// Σ solo shape time of completed requests.
-    pub shape_total: SimDuration,
-    /// Σ admission charges (SPDM setup + doorbells) of completed requests.
-    pub admission_total: SimDuration,
+    /// Σ (completion − arrival) over completed requests, in nanoseconds.
+    /// The five totals are `u128`: a soak of millions of requests over
+    /// virtual days sums past `u64::MAX` nanoseconds.
+    pub latency_total: u128,
+    /// Σ (dispatch − arrival) over completed requests, in nanoseconds.
+    pub wait_total: u128,
+    /// Σ (completion − dispatch) over completed requests, in nanoseconds.
+    pub service_total: u128,
+    /// Σ solo shape time of completed requests, in nanoseconds.
+    pub shape_total: u128,
+    /// Σ admission charges (SPDM setup + doorbells) of completed
+    /// requests, in nanoseconds.
+    pub admission_total: u128,
 }
 
 /// One CC mode's cluster run under one scheduler.
@@ -154,12 +157,12 @@ pub fn mode_run(
     let mut latency: Vec<Vec<SimDuration>> = vec![Vec::new(); tenants.len()];
     let mut wait: Vec<Vec<SimDuration>> = vec![Vec::new(); tenants.len()];
     let mut rejected = vec![0u64; tenants.len()];
-    let zero = SimDuration::ZERO;
-    let mut latency_total = vec![zero; tenants.len()];
-    let mut wait_total = vec![zero; tenants.len()];
-    let mut service_total = vec![zero; tenants.len()];
-    let mut shape_total = vec![zero; tenants.len()];
-    let mut admission_total = vec![zero; tenants.len()];
+    let mut latency_total = vec![0u128; tenants.len()];
+    let mut wait_total = vec![0u128; tenants.len()];
+    let mut service_total = vec![0u128; tenants.len()];
+    let mut shape_total = vec![0u128; tenants.len()];
+    let mut admission_total = vec![0u128; tenants.len()];
+    let ns = |d: SimDuration| u128::from(d.as_nanos());
 
     for ((req, outcome), shape) in requests.iter().zip(&run.outcomes).zip(service) {
         let t = req.tenant;
@@ -172,11 +175,11 @@ pub fn mode_run(
         let s = outcome.completion.saturating_since(outcome.dispatch);
         latency[t].push(l);
         wait[t].push(w);
-        latency_total[t] += l;
-        wait_total[t] += w;
-        service_total[t] += s;
-        shape_total[t] += *shape.as_ref().expect("completed requests have a shape");
-        admission_total[t] += outcome.admission;
+        latency_total[t] += ns(l);
+        wait_total[t] += ns(w);
+        service_total[t] += ns(s);
+        shape_total[t] += ns(*shape.as_ref().expect("completed requests have a shape"));
+        admission_total[t] += ns(outcome.admission);
     }
 
     let tenants = tenants
@@ -325,6 +328,12 @@ impl ServingReport {
     }
 }
 
+/// A nanosecond total as a JSON integer, or as a float once it no longer
+/// fits in `u64`.
+fn ns_json(ns: u128) -> Json {
+    u64::try_from(ns).map_or(Json::F64(ns as f64), Json::U64)
+}
+
 impl ToJson for TenantStats {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -333,13 +342,10 @@ impl ToJson for TenantStats {
             ("rejected".to_string(), Json::U64(self.rejected)),
             ("latency".to_string(), self.latency.to_json()),
             ("wait".to_string(), self.wait.to_json()),
-            (
-                "service_total_ns".to_string(),
-                Json::U64(self.service_total.as_nanos()),
-            ),
+            ("service_total_ns".to_string(), ns_json(self.service_total)),
             (
                 "admission_total_ns".to_string(),
-                Json::U64(self.admission_total.as_nanos()),
+                ns_json(self.admission_total),
             ),
         ])
     }
@@ -411,5 +417,58 @@ impl ToJson for ServingReport {
                 ),
             ),
         ])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serving::cluster::Outcome;
+
+    /// Three requests whose latencies each take half the nanosecond
+    /// clock: the per-tenant sums pass `u64::MAX` and stay exact.
+    #[test]
+    fn tenant_totals_hold_soak_scale_sums() {
+        let half = u64::MAX / 2;
+        let wait = SimDuration::from_nanos(half / 4);
+        let requests: Vec<Request> = (0..3)
+            .map(|seq| Request {
+                seq,
+                tenant: 0,
+                class: 0,
+                arrival: SimTime::ZERO,
+            })
+            .collect();
+        let outcome = Outcome {
+            dispatch: SimTime::ZERO + wait,
+            completion: SimTime::from_nanos(half),
+            admission: SimDuration::from_nanos(7),
+            spdm: SimDuration::ZERO,
+            cold: false,
+            batch: 1,
+            gpu: 0,
+            rejected: false,
+        };
+        let run = ClusterRun {
+            outcomes: vec![outcome; 3],
+            end: SimTime::from_nanos(half),
+            busy: SimDuration::ZERO,
+            batches: 3,
+            cold_starts: 0,
+            sessions_established: 0,
+            sessions_closed: 0,
+            td: TdCounters::default(),
+            metrics: MetricsSet::new(),
+        };
+        let shape = SimDuration::from_nanos(half - half / 4 - 7);
+        let service = vec![Ok(shape); 3];
+        let tenants = hcc_workloads::default_tenants(1);
+        let mode = mode_run(CcMode::On, 1, &tenants, &requests, &service, run);
+        let t = &mode.tenants[0];
+        assert_eq!(t.latency_total, 3 * u128::from(half));
+        assert!(t.latency_total > u128::from(u64::MAX));
+        assert_eq!(t.latency_total, t.wait_total + t.service_total);
+        assert_eq!(t.service_total, t.shape_total + t.admission_total);
+        assert_eq!(t.admission_total, 21);
     }
 }
